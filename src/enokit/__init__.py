@@ -5,11 +5,9 @@ on arbitrary increasing meshes, picks each stencil by smallest divided
 difference, and checks the one-sided traces it produces: the jump between
 the two traces at every interface keeps the sign of the underlying data
 jump and is bounded by a mesh-dependent constant times its size. Exact
-rational and binary64 backends share one code path; a compiled kernel
-accelerates the binary64 case and falls back to pure Python transparently.
+rational and binary64 backends share one code path.
 """
 
-from ._kernels import HAVE_COMPILED
 from .eno_interpolation import (
     PointSignature,
     interpolant_at_node,
@@ -26,7 +24,7 @@ from .eno_reconstruction import (
     reconstruct_cell,
     select_signature,
 )
-from .errors import InvalidMesh, ShapeError, StencilOutOfRange
+from .errors import InvalidMesh, NonFiniteValue, ShapeError, StencilOutOfRange
 from .grid import (
     CellAverageField,
     Mesh,
@@ -74,7 +72,6 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_COMPILED",
     "PointSignature",
     "interpolant_at_node",
     "midpoint_traces",
@@ -88,6 +85,7 @@ __all__ = [
     "reconstruct_cell",
     "select_signature",
     "InvalidMesh",
+    "NonFiniteValue",
     "ShapeError",
     "StencilOutOfRange",
     "CellAverageField",

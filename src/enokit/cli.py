@@ -55,7 +55,7 @@ class _CsvError(Exception):
 def _parse_scalar(backend, text, line, column):
     try:
         return backend.parse(text.strip())
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise _CsvError(line, f"column {column}: unparsable scalar {text.strip()!r}")
 
 
@@ -183,20 +183,22 @@ def _cmd_verify(args):
     p = args.order
     if args.kind == "reconstruction":
         field = _read_cells(args.input, backend)
-        traces = interface_traces(field, p)
         source = primitive_from_averages(field)
-        telescoped = telescoped_jump_reconstruction
-        bound = bound_Cp(field.mesh, p)
         depth = p + 1
+        traces_of = interface_traces
+        telescoped = telescoped_jump_reconstruction
+        bound_of = bound_Cp
     else:
         field = _read_points(args.input, backend)
-        traces = midpoint_traces(field, p)
         source = field
-        telescoped = telescoped_jump_interpolation
-        bound = bound_cp(field.nodes, p)
         depth = p
-    report = sign_report(traces)
+        traces_of = midpoint_traces
+        telescoped = telescoped_jump_interpolation
+        bound_of = bound_cp
     table = divided_difference_table(source.nodes, source.values, max_order=depth)
+    traces = traces_of(field, p, table=table)
+    bound = bound_of(source.nodes, p)
+    report = sign_report(traces)
     mismatches = 0
     for t in traces:
         tele = telescoped(source, t.left_signature, t.right_signature, t.index, p,

@@ -6,47 +6,25 @@ magnitude, ties keeping the current stencil. The stencil polynomial of a
 node is evaluated one-sided at the midpoints between nodes.
 """
 
-from dataclasses import dataclass
-
-from . import _kernels
-from .errors import StencilOutOfRange
-from .eno_reconstruction import NewtonPolynomial, validate_offsets
-from .numerics import divided_difference_table, halfway, is_float_data
+from .eno_reconstruction import (
+    NODE,
+    NewtonPolynomial,
+    StencilSignature,
+    _check_batch,
+    _check_window,
+    _select,
+)
+from .numerics import (
+    DividedDifferenceTable,
+    divided_difference_levels,
+    divided_difference_table,
+    float_entry,
+    promote_integers,
+)
 from .stability import InterfaceTrace
 
-
-@dataclass(frozen=True)
-class PointSignature:
-    """Stagewise stencil offsets chosen for one node.
-
-    offsets[j-1] is the shift of the stage-j stencil's leftmost node
-    relative to the anchor node; stage j spans j consecutive nodes. The
-    first offset is 0 and each later stage either keeps the stencil or
-    extends it one node to the left.
-    """
-
-    offsets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        validate_offsets(self.offsets)
-
-    @property
-    def order(self):
-        return len(self.offsets)
-
-    def __str__(self):
-        return ",".join(str(m) for m in self.offsets)
-
-
-def _check_window(npts, node, p):
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    if node - p + 1 < 0 or node + p - 1 > npts - 1:
-        raise StencilOutOfRange(
-            f"node {node} at order {p} needs nodes {node - p + 1}..{node + p - 1}; "
-            f"have 0..{npts - 1}"
-        )
+# Interpolation signatures are stencil signatures anchored at nodes.
+PointSignature = StencilSignature
 
 
 def select_signature_pointwise(field, node, p, table=None):
@@ -66,18 +44,11 @@ def select_signature_pointwise(field, node, p, table=None):
     Raises:
         StencilOutOfRange: the candidate window leaves the data.
     """
-    _check_window(len(field.nodes), node, p)
+    _check_window(len(field.nodes), node, p, NODE)
     if table is None:
         table = divided_difference_table(field.nodes, field.values,
                                          max_order=p - 1)
-    levels = table.levels
-    L = node
-    offs = [0] * p
-    for j in range(1, p):
-        if abs(levels[j][L - 1]) < abs(levels[j][L]):
-            L -= 1
-        offs[j] = L - node
-    return PointSignature(tuple(offs))
+    return _select(table.levels, node, p, NODE)
 
 
 def interpolant_at_node(field, node, p, table=None):
@@ -87,7 +58,7 @@ def interpolant_at_node(field, node, p, table=None):
     were brought in, so coefficient j is the stage-(j+1) divided
     difference. Degree <= p-1.
     """
-    _check_window(len(field.nodes), node, p)
+    _check_window(len(field.nodes), node, p, NODE)
     if table is None:
         table = divided_difference_table(field.nodes, field.values,
                                          max_order=p - 1)
@@ -106,18 +77,20 @@ def interpolant_at_node(field, node, p, table=None):
 
 
 def _eval_at(table, node, offsets, x):
-    """Value at x of the node's stencil polynomial, Newton product form."""
+    """Value at x of the node's stencil polynomial, Newton product form.
+
+    Each product runs over its stencil in index order from the first
+    factor.
+    """
     X = table.points
     levels = table.levels
     total = levels[0][node]
     for j in range(2, len(offsets) + 1):
-        coef = levels[j - 1][node + offsets[j - 1]]
         start = node + offsets[j - 2]
-        prod = None
-        for idx in range(start, start + j - 1):
-            factor = x - X[idx]
-            prod = factor if prod is None else prod * factor
-        total = total + coef * prod
+        prod = x - X[start]
+        for idx in range(start + 1, start + j - 1):
+            prod = prod * (x - X[idx])
+        total = total + levels[j - 1][node + offsets[j - 1]] * prod
     return total
 
 
@@ -127,13 +100,14 @@ def midpoint_traces(field, p, table=None):
     Midpoints between nodes nu and nu+1 for nu = p-1..len-p-1 carry full
     stencil windows on both sides; each gets the left node's polynomial
     and the right node's polynomial evaluated at the midpoint, along with
-    the value jump and both signatures.
+    the value jump and both signatures. Float data is converted to float
+    once here; from then on both backends run the same code.
 
     Args:
         field: PointValueField.
         p: order, >= 1.
-        table: optional DividedDifferenceTable of the field with
-            max_order >= p-1 (exact path only), reused across orders.
+        table: optional DividedDifferenceTable of the field, in its
+            scalars, with max_order >= p-1, reused across orders.
 
     Returns:
         list of InterfaceTrace, ordered by left node index.
@@ -141,45 +115,29 @@ def midpoint_traces(field, p, table=None):
     Raises:
         StencilOutOfRange: fewer than 2p nodes.
     """
-    if p < 1:
-        raise ValueError("order must be >= 1")
     n = len(field.nodes)
-    if n < 2 * p:
-        raise StencilOutOfRange(f"order {p} needs at least {2 * p} nodes; have {n}")
-    if is_float_data(field.values) or is_float_data(field.nodes):
-        xs = [float(x) for x in field.nodes]
-        data = [float(v) for v in field.values]
-        raw_sigs, wminus, wplus = _kernels.interp_traces(xs, data, p)
-        sigs = [PointSignature(s) for s in raw_sigs]
-        out = []
-        for pos, nu in enumerate(range(p - 1, n - p)):
-            out.append(InterfaceTrace(
-                index=nu,
-                location=(xs[nu] + xs[nu + 1]) / 2,
-                left=wminus[pos],
-                right=wplus[pos],
-                data_jump=data[nu + 1] - data[nu],
-                left_signature=sigs[nu - p + 1],
-                right_signature=sigs[nu - p + 2],
-            ))
-        return out
+    _check_batch(n, p, "nodes")
+    X, data, approximate = float_entry(field.nodes, field.values)
     if table is None:
-        table = divided_difference_table(field.nodes, field.values,
-                                         max_order=p - 1)
-    sigs = {i: select_signature_pointwise(field, i, p, table=table)
-            for i in range(p - 1, n - p + 1)}
+        values = data
+        if not approximate:
+            values = promote_integers(data)
+            X = promote_integers(X)
+        table = DividedDifferenceTable(
+            X, divided_difference_levels(X, values, p - 1))
     X = table.points
+    sigs = [_select(table.levels, i, p, NODE) for i in range(p - 1, n - p + 1)]
     out = []
     for nu in range(p - 1, n - p):
-        xm = halfway(X[nu], X[nu + 1])
-        left_sig = sigs[nu]
-        right_sig = sigs[nu + 1]
+        xm = (X[nu] + X[nu + 1]) / 2
+        left_sig = sigs[nu - p + 1]
+        right_sig = sigs[nu - p + 2]
         out.append(InterfaceTrace(
             index=nu,
             location=xm,
             left=_eval_at(table, nu, left_sig.offsets, xm),
             right=_eval_at(table, nu + 1, right_sig.offsets, xm),
-            data_jump=field.values[nu + 1] - field.values[nu],
+            data_jump=data[nu + 1] - data[nu],
             left_signature=left_sig,
             right_signature=right_sig,
         ))

@@ -10,41 +10,43 @@ one-sided values at the interfaces are the traces.
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import StencilOutOfRange
-from .grid import primitive_from_averages
-from .numerics import divided_difference_table, is_float_data, promote_integers
+from .grid import primitive_exact, primitive_floats
+from .numerics import (
+    DividedDifferenceTable,
+    divided_difference_levels,
+    divided_difference_table,
+    float_entry,
+    promote_integers,
+)
 from .stability import InterfaceTrace
-
-
-def validate_offsets(offsets):
-    """Check the stagewise offset rules shared by both signature kinds."""
-    if not offsets:
-        raise ValueError("a signature needs at least one offset")
-    if offsets[0] != 0:
-        raise ValueError("the first offset must be 0")
-    for j in range(1, len(offsets)):
-        if offsets[j] - offsets[j - 1] not in (0, -1):
-            raise ValueError(
-                "each stage may keep its stencil or extend it one point left"
-            )
 
 
 @dataclass(frozen=True)
 class StencilSignature:
-    """Stagewise stencil offsets chosen for one cell.
+    """Stagewise stencil offsets chosen for one anchor.
 
-    offsets[j-1] is the shift of the stage-j stencil's leftmost interface
-    relative to the cell's left interface; stage j spans j+1 consecutive
-    interfaces. The first offset is 0 and each later stage either keeps
-    the stencil or extends it one interface to the left.
+    The anchor is a cell's left interface in reconstruction and a node in
+    interpolation. offsets[j-1] is the shift of the stage-j stencil's
+    leftmost point relative to the anchor; stage j spans j+1 interfaces of
+    the primitive, or j nodes. The first offset is 0 and each later stage
+    either keeps the stencil or extends it one point to the left.
     """
 
     offsets: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        validate_offsets(self.offsets)
+        offsets = tuple(self.offsets)
+        object.__setattr__(self, "offsets", offsets)
+        if not offsets:
+            raise ValueError("a signature needs at least one offset")
+        if offsets[0] != 0:
+            raise ValueError("the first offset must be 0")
+        for j in range(1, len(offsets)):
+            if offsets[j] - offsets[j - 1] not in (0, -1):
+                raise ValueError(
+                    "each stage may keep its stencil or extend it one point left"
+                )
 
     @property
     def order(self):
@@ -52,6 +54,51 @@ class StencilSignature:
 
     def __str__(self):
         return ",".join(str(k) for k in self.offsets)
+
+
+# Shift of the levels that decide each stage: a cell's stage-j stencil
+# holds j+1 interfaces of the primitive, a node's holds j nodes.
+CELL = 1
+NODE = 0
+
+
+def _check_window(npts, anchor, p, shift):
+    """Raise unless every candidate order-p stencil of the anchor fits."""
+    if p < 1:
+        raise ValueError("order must be >= 1")
+    lo = anchor - p + 1
+    hi = anchor + p - 1 + shift
+    if lo < 0 or hi > npts - 1:
+        raise StencilOutOfRange(
+            f"{'cell' if shift == CELL else 'node'} {anchor} at order {p} "
+            f"needs points {lo}..{hi}; have 0..{npts - 1}"
+        )
+
+
+def _select(levels, anchor, p, shift):
+    """Grow the anchor's stencil one point per stage.
+
+    Stage j compares the magnitudes of the two divided differences in
+    levels[j + shift] that would extend the current stencil by one point
+    to the left or to the right, and moves left only on a strict win; ties
+    keep the current stencil. Deterministic.
+    """
+    left = anchor
+    offsets = [0] * p
+    for j in range(1, p):
+        level = levels[j + shift]
+        if abs(level[left - 1]) < abs(level[left]):
+            left -= 1
+        offsets[j] = left - anchor
+    return StencilSignature(tuple(offsets))
+
+
+def _check_batch(npts, p, unit):
+    if p < 1:
+        raise ValueError("order must be >= 1")
+    if npts < 2 * p:
+        raise StencilOutOfRange(
+            f"order {p} needs at least {2 * p} {unit}; have {npts}")
 
 
 @dataclass(frozen=True)
@@ -119,16 +166,6 @@ class CellPolynomial:
         return self.antiderivative.derivative_value(x)
 
 
-def _check_window(npts, cell, p):
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    if cell - p + 1 < 0 or cell + p > npts - 1:
-        raise StencilOutOfRange(
-            f"cell {cell} at order {p} needs points {cell - p + 1}..{cell + p}; "
-            f"have 0..{npts - 1}"
-        )
-
-
 def select_signature(primitive, cell, p, table=None):
     """Grow the cell's stencil one point per stage over the primitive.
 
@@ -147,18 +184,11 @@ def select_signature(primitive, cell, p, table=None):
     Raises:
         StencilOutOfRange: the candidate window leaves the data.
     """
-    _check_window(len(primitive.nodes), cell, p)
+    _check_window(len(primitive.nodes), cell, p, CELL)
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
-    levels = table.levels
-    L = cell
-    offs = [0] * p
-    for j in range(1, p):
-        if abs(levels[j + 1][L - 1]) < abs(levels[j + 1][L]):
-            L -= 1
-        offs[j] = L - cell
-    return StencilSignature(tuple(offs))
+    return _select(table.levels, cell, p, CELL)
 
 
 def newton_interpolant(primitive, signature, cell, table=None):
@@ -168,7 +198,7 @@ def newton_interpolant(primitive, signature, cell, table=None):
     in, so coefficient j is exactly the stage-j divided difference.
     """
     p = signature.order
-    _check_window(len(primitive.nodes), cell, p)
+    _check_window(len(primitive.nodes), cell, p, CELL)
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
@@ -212,21 +242,20 @@ def _trace_at(table, cell, offsets, q):
     """One-sided trace at point q of the cell's derivative polynomial.
 
     Evaluates the derivative of the Newton interpolant at a stencil point
-    directly: only the product that skips the zero factor survives.
+    directly: only the product that skips the zero factor survives. Each
+    product runs over its stencil in index order from the first factor.
     """
     X = table.points
     levels = table.levels
+    xq = X[q]
     total = levels[1][cell]
     for j in range(2, len(offsets) + 1):
-        coef = levels[j][cell + offsets[j - 1]]
         start = cell + offsets[j - 2]
         prod = None
         for idx in range(start, start + j):
-            if idx == q:
-                continue
-            factor = X[q] - X[idx]
-            prod = factor if prod is None else prod * factor
-        total = total + coef * prod
+            if idx != q:
+                prod = xq - X[idx] if prod is None else prod * (xq - X[idx])
+        total = total + levels[j][cell + offsets[j - 1]] * prod
     return total
 
 
@@ -236,12 +265,15 @@ def interface_traces(field, p, table=None):
     Interfaces p..ncells-p carry full stencil windows on both sides; each
     gets the left cell's polynomial evaluated from the left and the right
     cell's from the right, along with the data jump and both signatures.
+    Float data is converted to float once here; from then on both backends
+    run the same code.
 
     Args:
         field: CellAverageField.
         p: order, >= 1.
-        table: optional DividedDifferenceTable of the primitive with
-            max_order >= p (exact path only), reused across orders.
+        table: optional DividedDifferenceTable of the field's primitive,
+            in the field's scalars, with max_order >= p, reused across
+            orders. When it is given, no primitive is built.
 
     Returns:
         list of InterfaceTrace, ordered by interface index.
@@ -249,46 +281,29 @@ def interface_traces(field, p, table=None):
     Raises:
         StencilOutOfRange: fewer than 2p cells.
     """
-    if p < 1:
-        raise ValueError("order must be >= 1")
     n = field.mesh.ncells
-    if n < 2 * p:
-        raise StencilOutOfRange(f"order {p} needs at least {2 * p} cells; have {n}")
-    X = field.mesh.interfaces
-    avgs = field.averages
-    if is_float_data(avgs) or is_float_data(X):
-        xs = [float(x) for x in X]
-        data = [float(a) for a in avgs]
-        raw_sigs, vminus, vplus = _kernels.recon_traces(xs, data, p, 0.0)
-        sigs = [StencilSignature(s) for s in raw_sigs]
-        out = []
-        for pos, iota in enumerate(range(p, n - p + 1)):
-            out.append(InterfaceTrace(
-                index=iota,
-                location=xs[iota],
-                left=vminus[pos],
-                right=vplus[pos],
-                data_jump=data[iota] - data[iota - 1],
-                left_signature=sigs[iota - p],
-                right_signature=sigs[iota - p + 1],
-            ))
-        return out
-    primitive = primitive_from_averages(field)
+    _check_batch(n, p, "cells")
+    X, data, approximate = float_entry(field.mesh.interfaces, field.averages)
     if table is None:
-        table = divided_difference_table(primitive.nodes, primitive.values,
-                                         max_order=p)
-    sigs = {c: select_signature(primitive, c, p, table=table)
-            for c in range(p - 1, n - p + 1)}
+        if approximate:
+            values = primitive_floats(X, data)
+        else:
+            values = promote_integers(primitive_exact(X, data))
+            X = promote_integers(X)
+        table = DividedDifferenceTable(
+            X, divided_difference_levels(X, values, p))
+    X = table.points
+    sigs = [_select(table.levels, c, p, CELL) for c in range(p - 1, n - p + 1)]
     out = []
     for iota in range(p, n - p + 1):
-        left_sig = sigs[iota - 1]
-        right_sig = sigs[iota]
+        left_sig = sigs[iota - p]
+        right_sig = sigs[iota - p + 1]
         out.append(InterfaceTrace(
             index=iota,
-            location=table.points[iota],
+            location=X[iota],
             left=_trace_at(table, iota - 1, left_sig.offsets, iota),
             right=_trace_at(table, iota, right_sig.offsets, iota),
-            data_jump=avgs[iota] - avgs[iota - 1],
+            data_jump=data[iota] - data[iota - 1],
             left_signature=left_sig,
             right_signature=right_sig,
         ))

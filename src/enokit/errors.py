@@ -11,3 +11,7 @@ class ShapeError(ValueError):
 
 class StencilOutOfRange(ValueError):
     """A stencil window would reach outside the available data."""
+
+
+class NonFiniteValue(ValueError):
+    """A binary64 coordinate or data value is NaN or infinite."""

@@ -5,9 +5,35 @@ the mesh interfaces; its first divided differences give back the averages,
 which is what lets average data drive point-value interpolation machinery.
 """
 
-from . import _kernels
-from .errors import InvalidMesh, ShapeError
+from math import isfinite
+
+from .errors import InvalidMesh, NonFiniteValue, ShapeError
 from .numerics import is_float_data, promote_integers
+
+
+def _check_finite(values, what, indices=None):
+    """Reject NaN and +-inf among the float entries of values."""
+    for k in range(len(values)) if indices is None else indices:
+        v = values[k]
+        if isinstance(v, float) and not isfinite(v):
+            raise NonFiniteValue(f"{what} {k} is {v!r}")
+
+
+def _check_increasing(coords, what):
+    """Strictly increasing coordinates with finite ends.
+
+    NaN fails every comparison and an infinity can only sit at an end of a
+    strictly increasing sequence, so checking the ends and any failed
+    comparison covers every entry.
+    """
+    for k in range(len(coords) - 1):
+        if not coords[k] < coords[k + 1]:
+            _check_finite(coords, what, (k, k + 1))
+            raise InvalidMesh(
+                f"{what}s must be strictly increasing; offender at index {k + 1}"
+            )
+    if coords:
+        _check_finite(coords, what, (0, len(coords) - 1))
 
 
 class Mesh:
@@ -22,11 +48,7 @@ class Mesh:
         interfaces = tuple(interfaces)
         if len(interfaces) < 2:
             raise InvalidMesh("a mesh needs at least two interfaces")
-        for k in range(len(interfaces) - 1):
-            if not interfaces[k] < interfaces[k + 1]:
-                raise InvalidMesh(
-                    f"interfaces must be strictly increasing; offender at index {k + 1}"
-                )
+        _check_increasing(interfaces, "interface")
         self.interfaces = interfaces
 
     @property
@@ -57,6 +79,7 @@ class CellAverageField:
             raise ShapeError(
                 f"{len(averages)} averages for a mesh of {mesh.ncells} cells"
             )
+        _check_finite(averages, "average")
         self.mesh = mesh
         self.averages = averages
 
@@ -69,16 +92,41 @@ class PointValueField:
         values = tuple(values)
         if len(nodes) != len(values):
             raise ShapeError(f"{len(nodes)} nodes but {len(values)} values")
-        for k in range(len(nodes) - 1):
-            if not nodes[k] < nodes[k + 1]:
-                raise InvalidMesh(
-                    f"nodes must be strictly increasing; offender at index {k + 1}"
-                )
+        _check_increasing(nodes, "node")
+        _check_finite(values, "value")
         self.nodes = nodes
         self.values = values
 
 
 # ---- Primitive bridge ----
+
+def primitive_floats(interfaces, averages, base=0.0):
+    """Compensated (Neumaier) running integral of cellwise-constant floats."""
+    values = [0.0] * (len(averages) + 1)
+    values[0] = base
+    s = base
+    comp = 0.0
+    for i in range(len(averages)):
+        term = (interfaces[i + 1] - interfaces[i]) * averages[i]
+        t = s + term
+        if abs(s) >= abs(term):
+            comp += (s - t) + term
+        else:
+            comp += (term - t) + s
+        s = t
+        values[i + 1] = s + comp
+    return values
+
+
+def primitive_exact(interfaces, averages, base=0):
+    """Running integral of cellwise-constant exact data, summed exactly."""
+    values = [base]
+    acc = base
+    for i in range(len(averages)):
+        acc = acc + (interfaces[i + 1] - interfaces[i]) * averages[i]
+        values.append(acc)
+    return values
+
 
 def primitive_from_averages(field, base=0):
     """Cumulative integral of the field, sampled at the mesh interfaces.
@@ -97,14 +145,9 @@ def primitive_from_averages(field, base=0):
     avgs = field.averages
     if is_float_data(avgs) or is_float_data(X) or isinstance(base, float):
         xs = [float(x) for x in X]
-        values = _kernels.primitive_floats(xs, [float(a) for a in avgs], float(base))
+        values = primitive_floats(xs, [float(a) for a in avgs], float(base))
         return PointValueField(xs, values)
-    values = [base]
-    acc = base
-    for i in range(len(avgs)):
-        acc = acc + (X[i + 1] - X[i]) * avgs[i]
-        values.append(acc)
-    return PointValueField(X, values)
+    return PointValueField(X, primitive_exact(X, avgs, base))
 
 
 def first_divided_differences(primitive):

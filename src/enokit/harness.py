@@ -221,16 +221,12 @@ def _run_fuzz_trial(config, trial):
     if reconstruction:
         field = CellAverageField(Mesh(coords), values)
         source = primitive_from_averages(field)
-        npts = len(coords)
     else:
         field = PointValueField(coords, values)
         source = field
-        npts = len(coords)
-    table = None
-    if backend.exact:
-        depth = pmax + 1 if reconstruction else pmax
-        table = divided_difference_table(source.nodes, source.values,
-                                         max_order=min(depth, npts - 1))
+    depth = pmax + 1 if reconstruction else pmax
+    table = divided_difference_table(source.nodes, source.values,
+                                     max_order=min(depth, len(coords) - 1))
     payload = {
         "interfaces": 0,
         "violations": 0,

@@ -7,6 +7,7 @@ sign checks performed on exact scalars are authoritative.
 """
 
 from fractions import Fraction
+from math import isfinite
 
 from .errors import InvalidMesh, ShapeError
 
@@ -25,10 +26,20 @@ class FloatBackend:
     exact = False
 
     def convert(self, x):
-        """Coerce x to float. Accepts numbers and decimal or num/den strings."""
+        """Coerce x to a finite float, from a number or a decimal or num/den
+        string.
+
+        Decimal strings are read by float(), which rounds them correctly;
+        num/den strings go through Fraction. A string reads "-0" as 0.0, as
+        the exact backend does. Non-finite results raise ValueError.
+        """
         if isinstance(x, str):
-            return float(Fraction(x))
-        return float(x)
+            value = float(Fraction(x)) if "/" in x else float(x) + 0.0
+        else:
+            value = float(x)
+        if not isfinite(value):
+            raise ValueError(f"{x!r} is not a finite binary64 scalar")
+        return value
 
     def parse(self, text):
         """Read a scalar from its serialized form."""
@@ -95,6 +106,16 @@ def get_backend(name):
 def is_float_data(values):
     """True when any scalar in values is a binary64 float."""
     return any(isinstance(v, float) for v in values)
+
+
+def float_entry(coords, data):
+    """Coordinates and data as float lists when either holds a float.
+
+    Returns (coords, data, approximate); exact input comes back as given.
+    """
+    if is_float_data(data) or is_float_data(coords):
+        return [float(x) for x in coords], [float(v) for v in data], True
+    return coords, data, False
 
 
 def promote_integers(values):
@@ -177,14 +198,25 @@ def divided_difference_table(points, values, max_order=None):
                 f"points must be strictly increasing; offender at index {k + 1}"
             )
     pts = promote_integers(pts)
-    vals = promote_integers(vals)
     n = len(pts)
     if max_order is None or max_order > n - 1:
         max_order = n - 1
-    levels = [vals]
+    levels = divided_difference_levels(pts, promote_integers(vals), max_order)
+    return DividedDifferenceTable(tuple(pts), [tuple(level) for level in levels])
+
+
+def divided_difference_levels(points, values, max_order):
+    """Levels 0..max_order of the divided-difference table, unchecked.
+
+    The points must already be strictly increasing, at least max_order+1
+    of them, and free of plain ints in exact data (see promote_integers).
+    """
+    levels = [values]
+    n = len(points)
     for j in range(1, max_order + 1):
         prev = levels[j - 1]
         levels.append(
-            [(prev[k + 1] - prev[k]) / (pts[k + j] - pts[k]) for k in range(n - j)]
+            [(prev[k + 1] - prev[k]) / (points[k + j] - points[k])
+             for k in range(n - j)]
         )
-    return DividedDifferenceTable(tuple(pts), [tuple(level) for level in levels])
+    return levels

@@ -51,9 +51,6 @@ class InterfaceTrace:
         return self.right - self.left
 
 
-InterfaceTraceList = list
-
-
 @dataclass(frozen=True)
 class SignReport:
     """Per-breakpoint verdicts plus aggregate counters."""
@@ -141,37 +138,6 @@ def sign_report(traces):
 
 def _offsets(signature):
     return tuple(getattr(signature, "offsets", signature))
-
-
-def jump_factor_reconstruction(coords, interface, start, p):
-    """Geometric factor of one telescoped-jump summand (reconstruction).
-
-    The factor is (X[start+p+1] - X[start]) times the product of
-    (X[interface] - X[start+m+1]) over m = 0..p-1, skipping the zero
-    factor where start+m+1 equals the interface itself.
-    """
-    X = promote_integers(list(coords))
-    prod = X[start + p + 1] - X[start]
-    for m in range(p):
-        idx = start + m + 1
-        if idx != interface:
-            prod = prod * (X[interface] - X[idx])
-    return prod
-
-
-def jump_factor_interpolation(coords, midpoint, start, p):
-    """Geometric factor of one telescoped-jump summand (interpolation).
-
-    The factor is (X[start+p] - X[start]) times the product of
-    (xm - X[start+m]) over m = 1..p-1, where xm is the midpoint of
-    X[midpoint] and X[midpoint+1]; xm is never a node, so nothing skips.
-    """
-    X = promote_integers(list(coords))
-    xm = halfway(X[midpoint], X[midpoint + 1])
-    prod = X[start + p] - X[start]
-    for m in range(1, p):
-        prod = prod * (xm - X[start + m])
-    return prod
 
 
 def telescoped_terms_reconstruction(primitive, left_signature, right_signature,

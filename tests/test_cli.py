@@ -180,6 +180,17 @@ def test_malformed_csv_exit_codes(capsys, tmp_path):
         assert "line" in err, name
 
 
+def test_out_of_range_float_scalar_is_a_csv_error(capsys, tmp_path):
+    huge_ratio = "1" + "0" * 400 + "/1"
+    for name, avg in (("big.csv", "1e400"), ("ratio.csv", huge_ratio)):
+        path = tmp_path / name
+        path.write_text(f"x_left,x_right,avg\n0,1,0\n1,2,{avg}\n")
+        code, _, err = run(capsys, "reconstruct", "--backend", "float",
+                           "--input", str(path), "--order", "1")
+        assert code == 2, name
+        assert "line 3" in err, name
+
+
 def test_point_csv_must_increase(capsys, tmp_path):
     path = tmp_path / "dec.csv"
     path.write_text("x,value\n0,1\n0,2\n")

@@ -10,6 +10,7 @@ from enokit import (
     CellAverageField,
     InvalidMesh,
     Mesh,
+    NonFiniteValue,
     PointValueField,
     ShapeError,
     first_dd_is_average,
@@ -40,6 +41,23 @@ def test_mesh_validation():
         Mesh([0, 1, 1])
     with pytest.raises(InvalidMesh):
         Mesh([0, 2, 1])
+
+
+def test_non_finite_floats_are_rejected():
+    nan, inf = float("nan"), float("inf")
+    for interfaces in ([0.0, 1.0, inf], [-inf, 0.0, 1.0], [0.0, nan, 2.0]):
+        with pytest.raises(NonFiniteValue):
+            Mesh(interfaces)
+    mesh = Mesh([0.0, 1.0, 2.0, 3.0])
+    for bad in (nan, inf, -inf):
+        with pytest.raises(NonFiniteValue):
+            CellAverageField(mesh, [1.0, bad, 2])
+        with pytest.raises(NonFiniteValue):
+            PointValueField([0, 1, 2], [0.5, 1, bad])
+    with pytest.raises(NonFiniteValue):
+        PointValueField([0.0, 1.0, inf], [0, 1, 2])
+    big = Fraction(10 ** 400)
+    assert CellAverageField(Mesh([0, big]), [big]).averages == (big,)
 
 
 def test_uniform_mesh():

@@ -1,5 +1,7 @@
 """Backends, promotion, and divided-difference tables."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,32 @@ def test_float_parse_accepts_rational_strings():
     assert FLOAT.parse("1/4") == 0.25
     assert FLOAT.parse("-3/2") == -1.5
     assert FLOAT.parse("1e-3") == 0.001
+
+
+def test_float_parse_edge_strings():
+    assert FLOAT.parse("1/3") == 1 / 3
+    assert FLOAT.parse(".5") == 0.5
+    assert FLOAT.parse("1_0") == 10.0
+    assert FLOAT.parse("1e-400") == 0.0
+    for text in ("-0", "-0.0", "-1e-400"):
+        zero = FLOAT.parse(text)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0, text
+    for text in ("1e400", "-1e400", "nan", "inf", "-inf"):
+        with pytest.raises(ValueError):
+            FLOAT.parse(text)
+    with pytest.raises(OverflowError):
+        FLOAT.parse("1" + "0" * 400 + "/1")
+
+
+def test_float_parse_matches_the_rational_reading():
+    rng = random.Random(8)
+    for _ in range(3000):
+        digits = str(rng.randint(0, 10 ** rng.randint(1, 20)))
+        cut = rng.randint(0, len(digits))
+        text = f"{rng.choice(('', '-'))}{digits[:cut]}.{digits[cut:]}"
+        if rng.random() < 0.5:
+            text += f"e{rng.randint(-340, 280)}"
+        assert FLOAT.parse(text) == float(Fraction(text)), text
 
 
 @given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 9))

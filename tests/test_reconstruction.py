@@ -198,3 +198,26 @@ def test_shared_table_matches_per_call():
     for cell in range(2, 8):
         assert select_signature(prim, cell, 3, table=table) \
             == select_signature(prim, cell, 3)
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+def test_traces_from_a_given_table_build_no_primitive(monkeypatch, scalar):
+    import enokit.eno_reconstruction as eno
+    import enokit.grid as grid
+    from enokit import divided_difference_table
+
+    rng = random.Random(6)
+    xs = random_fraction_mesh(rng, 15)
+    field = CellAverageField(Mesh([scalar(x) for x in xs]),
+                             [scalar(v) for v in random_int_values(rng, 14)])
+    prim = primitive_from_averages(field)
+    table = divided_difference_table(prim.nodes, prim.values, max_order=5)
+    expected = interface_traces(field, 3)
+
+    def no_primitive(*args, **kwargs):
+        raise AssertionError("a primitive was built")
+
+    monkeypatch.setattr(grid, "primitive_from_averages", no_primitive)
+    monkeypatch.setattr(eno, "primitive_exact", no_primitive)
+    monkeypatch.setattr(eno, "primitive_floats", no_primitive)
+    assert interface_traces(field, 3, table=table) == expected
