@@ -15,22 +15,20 @@ import sys
 from .eno_interpolation import midpoint_traces
 from .eno_reconstruction import interface_traces
 from .errors import InvalidMesh, ShapeError, StencilOutOfRange
-from .grid import CellAverageField, Mesh, PointValueField, primitive_from_averages
+from .grid import CellAverageField, Mesh, PointValueField
 from .harness import (
-    ORACLE_FLOAT_TOL,
     FuzzConfig,
+    check_orders,
     convergence_study,
     fuzz_sign_property,
     worst_case_averages,
 )
-from .numerics import EXACT, divided_difference_table, get_backend
+from .numerics import EXACT, get_backend
 from .stability import (
     bound_Cp,
     bound_cp,
     relative_jump,
     sign_report,
-    telescoped_jump_interpolation,
-    telescoped_jump_reconstruction,
     uniform_bound_Cp,
     uniform_bound_cp,
 )
@@ -183,32 +181,13 @@ def _cmd_verify(args):
     p = args.order
     if args.kind == "reconstruction":
         field = _read_cells(args.input, backend)
-        source = primitive_from_averages(field)
-        depth = p + 1
-        traces_of = interface_traces
-        telescoped = telescoped_jump_reconstruction
-        bound_of = bound_Cp
+        bound_of, coords = bound_Cp, field.mesh
     else:
         field = _read_points(args.input, backend)
-        source = field
-        depth = p
-        traces_of = midpoint_traces
-        telescoped = telescoped_jump_interpolation
-        bound_of = bound_cp
-    table = divided_difference_table(source.nodes, source.values, max_order=depth)
-    traces = traces_of(field, p, table=table)
-    bound = bound_of(source.nodes, p)
-    report = sign_report(traces)
-    mismatches = 0
-    for t in traces:
-        tele = telescoped(source, t.left_signature, t.right_signature, t.index, p,
-                          table=table)
-        if backend.exact:
-            bad = tele != t.jump
-        else:
-            bad = abs(tele - t.jump) > ORACLE_FLOAT_TOL * max(1.0, abs(t.jump))
-        if bad:
-            mismatches += 1
+        bound_of, coords = bound_cp, field.nodes
+    [(_, traces, report, agrees)] = check_orders(field, (p,))
+    bound = bound_of(coords, p)
+    mismatches = agrees.count(False)
     payload = {
         "interfaces": len(traces),
         "violations": report.violations,
@@ -231,6 +210,8 @@ def _cmd_verify(args):
 def _cmd_bounds(args):
     if args.uniform == (args.input is not None):
         raise _CsvError(0, "bounds needs exactly one of --uniform or --input")
+    if args.order < 1:
+        raise ValueError("order must be >= 1")
     rows = []
     if args.uniform:
         closed = uniform_bound_Cp if args.kind == "reconstruction" else uniform_bound_cp

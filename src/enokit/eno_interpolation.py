@@ -14,13 +14,7 @@ from .eno_reconstruction import (
     _check_window,
     _select,
 )
-from .numerics import (
-    DividedDifferenceTable,
-    divided_difference_levels,
-    divided_difference_table,
-    float_entry,
-    promote_integers,
-)
+from .numerics import divided_difference_table, float_entry, level_table
 from .stability import InterfaceTrace
 
 # Interpolation signatures are stencil signatures anchored at nodes.
@@ -117,14 +111,9 @@ def midpoint_traces(field, p, table=None):
     """
     n = len(field.nodes)
     _check_batch(n, p, "nodes")
-    X, data, approximate = float_entry(field.nodes, field.values)
+    X, data, _ = float_entry(field.nodes, field.values)
     if table is None:
-        values = data
-        if not approximate:
-            values = promote_integers(data)
-            X = promote_integers(X)
-        table = DividedDifferenceTable(
-            X, divided_difference_levels(X, values, p - 1))
+        table = level_table(X, data, p - 1)
     X = table.points
     sigs = [_select(table.levels, i, p, NODE) for i in range(p - 1, n - p + 1)]
     out = []

@@ -1,22 +1,21 @@
 """Adaptive-stencil reconstruction of interface traces from cell averages.
 
-The cell averages are bridged to point values of their running integral at
-the interfaces. Each cell grows a stencil one point per stage, extending
-toward the side whose divided difference is strictly smaller in magnitude;
-ties keep the current stencil. The interpolant of the running integral over
-the final stencil is differentiated to give the in-cell polynomial, whose
-one-sided values at the interfaces are the traces.
+The cell averages are the first divided differences of their running
+integral (the primitive) at the interfaces, so they seed its table at
+level 1 and traces build no primitive. Each cell grows a stencil one point
+per stage, extending toward the side whose divided difference is strictly
+smaller in magnitude; ties keep the current stencil. The interpolant of
+the running integral over the final stencil is differentiated to give the
+in-cell polynomial, whose one-sided values at the interfaces are the traces.
 """
 
 from dataclasses import dataclass
 
 from .errors import StencilOutOfRange
-from .grid import primitive_exact, primitive_floats
 from .numerics import (
-    DividedDifferenceTable,
-    divided_difference_levels,
     divided_difference_table,
     float_entry,
+    level_table,
     promote_integers,
 )
 from .stability import InterfaceTrace
@@ -271,9 +270,10 @@ def interface_traces(field, p, table=None):
     Args:
         field: CellAverageField.
         p: order, >= 1.
-        table: optional DividedDifferenceTable of the field's primitive,
-            in the field's scalars, with max_order >= p, reused across
-            orders. When it is given, no primitive is built.
+        table: optional DividedDifferenceTable over the interfaces, in the
+            field's scalars, with max_order >= p, reused across orders.
+            Level 1 holds the averages (the primitive's first divided
+            differences); level 0 is never read, so it may be None.
 
     Returns:
         list of InterfaceTrace, ordered by interface index.
@@ -283,15 +283,9 @@ def interface_traces(field, p, table=None):
     """
     n = field.mesh.ncells
     _check_batch(n, p, "cells")
-    X, data, approximate = float_entry(field.mesh.interfaces, field.averages)
+    X, data, _ = float_entry(field.mesh.interfaces, field.averages)
     if table is None:
-        if approximate:
-            values = primitive_floats(X, data)
-        else:
-            values = promote_integers(primitive_exact(X, data))
-            X = promote_integers(X)
-        table = DividedDifferenceTable(
-            X, divided_difference_levels(X, values, p))
+        table = level_table(X, data, p, order=1)
     X = table.points
     sigs = [_select(table.levels, c, p, CELL) for c in range(p - 1, n - p + 1)]
     out = []

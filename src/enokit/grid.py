@@ -1,8 +1,10 @@
 """Meshes, cell-average fields, point-value fields, and the primitive bridge.
 
 The primitive of a cell-average field is its cumulative integral sampled at
-the mesh interfaces; its first divided differences give back the averages,
-which is what lets average data drive point-value interpolation machinery.
+the mesh interfaces; its first divided differences give back the averages.
+The trace and check code uses that identity directly and starts its
+divided-difference tables from the averages, so it builds no primitive; the
+per-cell API (select_signature, reconstruct_cell, ...) still takes one.
 """
 
 from math import isfinite
@@ -118,16 +120,6 @@ def primitive_floats(interfaces, averages, base=0.0):
     return values
 
 
-def primitive_exact(interfaces, averages, base=0):
-    """Running integral of cellwise-constant exact data, summed exactly."""
-    values = [base]
-    acc = base
-    for i in range(len(averages)):
-        acc = acc + (interfaces[i + 1] - interfaces[i]) * averages[i]
-        values.append(acc)
-    return values
-
-
 def primitive_from_averages(field, base=0):
     """Cumulative integral of the field, sampled at the mesh interfaces.
 
@@ -147,7 +139,10 @@ def primitive_from_averages(field, base=0):
         xs = [float(x) for x in X]
         values = primitive_floats(xs, [float(a) for a in avgs], float(base))
         return PointValueField(xs, values)
-    return PointValueField(X, primitive_exact(X, avgs, base))
+    values = [base]
+    for i in range(len(avgs)):
+        values.append(values[-1] + (X[i + 1] - X[i]) * avgs[i])
+    return PointValueField(X, values)
 
 
 def first_divided_differences(primitive):

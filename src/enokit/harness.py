@@ -14,18 +14,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .eno_interpolation import midpoint_traces
 from .eno_reconstruction import interface_traces
 from .errors import InvalidMesh, ShapeError, StencilOutOfRange
-from .grid import CellAverageField, Mesh, PointValueField, primitive_from_averages
+from .grid import CellAverageField, Mesh, PointValueField
 from .numerics import (
     EXACT,
     FLOAT,
-    divided_difference_table,
+    float_entry,
     get_backend,
     is_float_data,
+    level_table,
     promote_integers,
 )
 from .stability import (
@@ -94,6 +93,43 @@ def worst_case_ratio(p, epsilon=1e-10, n_cells=20, backend=FLOAT):
     raise StencilOutOfRange(f"interface {iota} not interior at order {p}")
 
 
+# ---- Checks ----
+
+def check_orders(field, orders):
+    """Traces, sign verdicts and telescoped-oracle agreement, order by order.
+
+    A CellAverageField is reconstructed, a PointValueField interpolated;
+    one divided-difference table serves every order, trace and oracle.
+    Yields (p, traces, sign_report(traces), agrees), where agrees[i] says
+    whether the telescoped jump equals traces[i].jump: exactly for exact
+    data, within ORACLE_FLOAT_TOL of its scale for float data. Raises
+    StencilOutOfRange when an order does not fit the data.
+    """
+    orders = tuple(orders)
+    if not orders:
+        return
+    if isinstance(field, CellAverageField):
+        coords, data, level = field.mesh.interfaces, field.averages, 1
+        traces_of, telescoped = interface_traces, telescoped_jump_reconstruction
+    else:
+        coords, data, level = field.nodes, field.values, 0
+        traces_of, telescoped = midpoint_traces, telescoped_jump_interpolation
+    coords, data, approximate = float_entry(coords, data)
+    table = level_table(coords, data, min(max(orders) + level, len(coords) - 1),
+                        level)
+    for p in orders:
+        traces = traces_of(field, p, table=table)
+        # The oracle reads only the table, so it is given no source field.
+        pairs = [(telescoped(None, t.left_signature, t.right_signature,
+                             t.index, p, table=table), t.jump) for t in traces]
+        if approximate:
+            agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
+                      for tele, jump in pairs]
+        else:
+            agrees = [tele == jump for tele, jump in pairs]
+        yield p, traces, sign_report(traces), agrees
+
+
 # ---- Fuzzing ----
 
 @dataclass(frozen=True)
@@ -120,6 +156,13 @@ class FuzzConfig:
             raise ValueError("orders must be a nonempty sequence of p >= 1")
         if not 0 < self.width_low <= self.width_high:
             raise ValueError("cell widths need 0 < low <= high")
+        if not math.isfinite(self.width_high * WIDTH_DENOMINATOR):
+            raise ValueError("cell widths need a finite upper bound")
+        lo, hi = _width_ticks(self)
+        if lo > hi:
+            raise ValueError(
+                f"no cell width in [{self.width_low!r}, {self.width_high!r}] "
+                f"is a multiple of 1/{WIDTH_DENOMINATOR}")
         if self.backend not in ("float", "exact"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.distribution not in ("mixed", "uniform-int"):
@@ -165,6 +208,12 @@ class FuzzReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _width_ticks(config):
+    """Smallest and largest cell width, in units of 1/WIDTH_DENOMINATOR."""
+    return (math.ceil(config.width_low * WIDTH_DENOMINATOR),
+            math.floor(config.width_high * WIDTH_DENOMINATOR))
+
+
 def _trial_values(rng, count, distribution):
     roll = rng.random() if distribution == "mixed" else 0.0
     if roll < 0.7:
@@ -189,8 +238,7 @@ def _trial_values(rng, count, distribution):
 def _trial_inputs(config, trial):
     """Coordinates and data values of one trial, in exact scalars."""
     rng = random.Random(f"{config.seed}:{trial}")
-    lo = math.ceil(config.width_low * WIDTH_DENOMINATOR)
-    hi = math.floor(config.width_high * WIDTH_DENOMINATOR)
+    lo, hi = _width_ticks(config)
     coords = [EXACT.convert(0)]
     for _ in range(config.cells):
         width = EXACT.convert(rng.randint(lo, hi)) / WIDTH_DENOMINATOR
@@ -217,16 +265,10 @@ def _run_fuzz_trial(config, trial):
     if not backend.exact:
         coords = [float(x) for x in coords]
         values = [float(v) for v in values]
-    pmax = max(config.orders)
     if reconstruction:
         field = CellAverageField(Mesh(coords), values)
-        source = primitive_from_averages(field)
     else:
         field = PointValueField(coords, values)
-        source = field
-    depth = pmax + 1 if reconstruction else pmax
-    table = divided_difference_table(source.nodes, source.values,
-                                     max_order=min(depth, len(coords) - 1))
     payload = {
         "interfaces": 0,
         "violations": 0,
@@ -251,16 +293,12 @@ def _run_fuzz_trial(config, trial):
             "data_jump": backend.serialize(t.data_jump),
         }
 
-    for p in orders:
-        if reconstruction:
-            traces = interface_traces(field, p, table=table)
-        else:
-            traces = midpoint_traces(field, p, table=table)
-        report = sign_report(traces)
+    for p, traces, report, agrees in check_orders(field, orders):
         payload["interfaces"] += len(traces)
         best_ratio = None
         best_bound = None
-        for t, verdict, ratio in zip(traces, report.verdicts, report.ratios):
+        for t, verdict, ratio, agree in zip(traces, report.verdicts,
+                                            report.ratios, agrees):
             if verdict == "VIOLATION":
                 payload["violations"] += 1
                 payload["violation_witnesses"].append(witness(p, t, "sign"))
@@ -277,21 +315,7 @@ def _run_fuzz_trial(config, trial):
                 if best_ratio is None or ratio > best_ratio:
                     best_ratio = ratio
                     candidate = (trial, p, t.index)
-            if reconstruction:
-                tele = telescoped_jump_reconstruction(
-                    source, t.left_signature, t.right_signature, t.index, p,
-                    table=table)
-            else:
-                tele = telescoped_jump_interpolation(
-                    source, t.left_signature, t.right_signature, t.index, p,
-                    table=table)
-            direct = t.jump
-            if backend.exact:
-                mismatch = tele != direct
-            else:
-                mismatch = abs(tele - direct) > ORACLE_FLOAT_TOL * max(
-                    1.0, abs(direct))
-            if mismatch:
+            if not agree:
                 payload["oracle_mismatches"] += 1
                 payload["violation_witnesses"].append(witness(p, t, "oracle"))
         payload["max_ratio"][p] = (
@@ -425,6 +449,8 @@ def convergence_study(sampler, orders, resolutions, domain=(0.0, 1.0)):
         raise StencilOutOfRange(
             f"coarsest resolution {resolutions[0]} cannot host order {max(orders)}"
         )
+    import numpy as np
+
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(12)
     a, b = float(domain[0]), float(domain[1])
     errors = []

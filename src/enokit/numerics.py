@@ -13,7 +13,7 @@ from .errors import InvalidMesh, ShapeError
 
 try:
     import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - gmpy2 is a normal dependency
+except ImportError:  # gmpy2 is the optional "gmpy2" extra
     _gmpy2 = None
 
 
@@ -152,10 +152,12 @@ def halfway(a, b):
 class DividedDifferenceTable:
     """Triangular table of divided differences over consecutive windows.
 
-    Level 0 holds the ordinates; level j entry k is the order-j divided
-    difference over points[k:k+j+1], so level j has len(points)-j entries.
-    Every window at every level is stored, which lets stencil-selection
-    code probe left and right extensions without recomputation.
+    Level j entry k is the order-j divided difference over
+    points[k:k+j+1], so level j has len(points)-j entries. Level 0 holds
+    the ordinates, or is None when the table starts from cell averages
+    (see divided_difference_levels). Every window at every level is
+    stored, which lets stencil-selection code probe left and right
+    extensions without recomputation.
     """
 
     def __init__(self, points, levels):
@@ -197,26 +199,36 @@ def divided_difference_table(points, values, max_order=None):
             raise InvalidMesh(
                 f"points must be strictly increasing; offender at index {k + 1}"
             )
-    pts = promote_integers(pts)
-    n = len(pts)
-    if max_order is None or max_order > n - 1:
-        max_order = n - 1
-    levels = divided_difference_levels(pts, promote_integers(vals), max_order)
-    return DividedDifferenceTable(tuple(pts), [tuple(level) for level in levels])
+    if max_order is None or max_order > len(pts) - 1:
+        max_order = len(pts) - 1
+    table = level_table(pts, vals, max_order)
+    return DividedDifferenceTable(tuple(table.points),
+                                  [tuple(level) for level in table.levels])
 
 
-def divided_difference_levels(points, values, max_order):
+def divided_difference_levels(points, values, max_order, order=0):
     """Levels 0..max_order of the divided-difference table, unchecked.
 
-    The points must already be strictly increasing, at least max_order+1
-    of them, and free of plain ints in exact data (see promote_integers).
+    `values` is level `order`: point values are order 0; cell averages are
+    order 1, the primitive's first divided differences over the cells
+    between the points, and level 0 is then None. The points must already
+    be strictly increasing, at least max_order+1 of them, and free of
+    plain ints in exact data (see promote_integers).
     """
-    levels = [values]
+    levels = [None] * order + [values]
     n = len(points)
-    for j in range(1, max_order + 1):
+    for j in range(order + 1, max_order + 1):
         prev = levels[j - 1]
         levels.append(
             [(prev[k + 1] - prev[k]) / (points[k + j] - points[k])
              for k in range(n - j)]
         )
     return levels
+
+
+def level_table(points, values, max_order, order=0):
+    """Table of level-`order` data over points, with ints in exact data
+    promoted first; float data must already be all float (float_entry)."""
+    points = promote_integers(points)
+    return DividedDifferenceTable(points, divided_difference_levels(
+        points, promote_integers(values), max_order, order))

@@ -77,6 +77,15 @@ def test_bounds_needs_exactly_one_source(capsys, cells_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_bounds_rejects_order_below_one(capsys, cells_csv, order):
+    for source in (["--uniform"], ["--input", cells_csv]):
+        code, out, err = run(capsys, "bounds", "--order", order, *source)
+        assert code == 2
+        assert out == ""
+        assert "order must be >= 1" in err
+
+
 def test_reconstruct_step(capsys, cells_csv):
     code, out, _ = run(capsys, "reconstruct", "--input", cells_csv,
                        "--order", "2")
@@ -143,15 +152,15 @@ def test_verify_interpolation_kind(capsys, points_csv):
 
 
 def test_verify_flags_planted_violation(capsys, points_csv, monkeypatch):
-    import enokit.cli as cli_mod
+    import enokit.harness as harness_mod
     from enokit import InterfaceTrace
 
     def planted(field, p, table=None):
         return [InterfaceTrace(1, 1.5, 1.0, 0.0, 1.0, (0, 0), (0, 0))]
 
-    monkeypatch.setattr(cli_mod, "midpoint_traces", planted)
+    monkeypatch.setattr(harness_mod, "midpoint_traces", planted)
     monkeypatch.setattr(
-        cli_mod, "telescoped_jump_interpolation",
+        harness_mod, "telescoped_jump_interpolation",
         lambda *a, **k: -1.0,
     )
     code, out, _ = run(capsys, "verify", "--input", points_csv, "--order",
@@ -159,6 +168,22 @@ def test_verify_flags_planted_violation(capsys, points_csv, monkeypatch):
     assert code == 4
     payload = json.loads(out)
     assert payload["violations"] == 1
+
+
+@pytest.mark.parametrize("order", ["3", "6"])
+def test_verify_float_on_non_dyadic_steps_exits_zero(capsys, tmp_path, order):
+    from test_reconstruction import non_dyadic_steps
+
+    xs, data = non_dyadic_steps()
+    path = tmp_path / "steps.csv"
+    path.write_text("x_left,x_right,avg\n" + "".join(
+        f"{xs[i]!r},{xs[i + 1]!r},{v!r}\n" for i, v in enumerate(data)))
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--order", order,
+                       "--backend", "float")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["violations"] == 0
+    assert payload["oracle_mismatches"] == 0
 
 
 def test_malformed_csv_exit_codes(capsys, tmp_path):
@@ -269,6 +294,18 @@ def test_fuzz_planted_violation_exits_four(capsys, monkeypatch):
                         lambda config, workers=1: Stub())
     code, _, _ = run(capsys, "fuzz", "--trials", "1")
     assert code == 4
+
+
+@pytest.mark.parametrize("low, high, message", [
+    ("0.5", "inf", "finite upper bound"),
+    ("1e-6", "1e-6", "no cell width"),
+])
+def test_fuzz_rejects_width_bounds_without_a_width(capsys, low, high, message):
+    code, out, err = run(capsys, "fuzz", "--trials", "2", "--width-low", low,
+                         "--width-high", high)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_fuzz_rejects_bad_orders(capsys):

@@ -83,6 +83,16 @@ def test_fuzz_config_validation():
         FuzzConfig(kind="extrapolation")
     with pytest.raises(ValueError):
         FuzzConfig(cells=1)
+    with pytest.raises(ValueError, match="finite upper bound"):
+        FuzzConfig(width_high=math.inf)
+    with pytest.raises(ValueError, match="finite upper bound"):
+        FuzzConfig(width_high=1e308)
+    with pytest.raises(ValueError, match="no cell width"):
+        FuzzConfig(width_low=1e-6, width_high=1e-6)
+    with pytest.raises(ValueError, match="no cell width"):
+        FuzzConfig(width_low=1.00001, width_high=1.00001)
+    FuzzConfig(width_low=1.0, width_high=1.0)
+    FuzzConfig(width_low=1e-6, width_high=1 / 65536)
 
 
 SMALL = FuzzConfig(seed=7, trials=8, cells=16, orders=(1, 2, 3))

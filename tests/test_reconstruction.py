@@ -17,6 +17,7 @@ from enokit import (
     primitive_from_averages,
     reconstruct_cell,
     select_signature,
+    sign_report,
     uniform_mesh,
 )
 
@@ -202,22 +203,60 @@ def test_shared_table_matches_per_call():
 
 @pytest.mark.parametrize("scalar", [Fraction, float])
 def test_traces_from_a_given_table_build_no_primitive(monkeypatch, scalar):
-    import enokit.eno_reconstruction as eno
     import enokit.grid as grid
     from enokit import divided_difference_table
+    from enokit.numerics import level_table
 
     rng = random.Random(6)
     xs = random_fraction_mesh(rng, 15)
     field = CellAverageField(Mesh([scalar(x) for x in xs]),
                              [scalar(v) for v in random_int_values(rng, 14)])
-    prim = primitive_from_averages(field)
-    table = divided_difference_table(prim.nodes, prim.values, max_order=5)
-    expected = interface_traces(field, 3)
+    if scalar is Fraction:
+        prim = primitive_from_averages(field)
+        from_primitive = interface_traces(field, 3, table=divided_difference_table(
+            prim.nodes, prim.values, max_order=5))
 
     def no_primitive(*args, **kwargs):
         raise AssertionError("a primitive was built")
 
-    monkeypatch.setattr(grid, "primitive_from_averages", no_primitive)
-    monkeypatch.setattr(eno, "primitive_exact", no_primitive)
-    monkeypatch.setattr(eno, "primitive_floats", no_primitive)
+    for name in ("primitive_from_averages", "primitive_floats"):
+        monkeypatch.setattr(grid, name, no_primitive)
+    table = level_table(field.mesh.interfaces, field.averages, 5, order=1)
+    expected = interface_traces(field, 3)
     assert interface_traces(field, 3, table=table) == expected
+    if scalar is Fraction:
+        assert expected == from_primitive
+
+
+def non_dyadic_steps(ncells=120, seed=146):
+    """Piecewise-constant integer averages on a non-dyadic float mesh.
+
+    Each width is one of 0.1, 0.3, 1/3, 0.7 times U(0.9, 1.1), and the
+    level changes with probability 0.02 per cell. This is the smallest
+    such field found on which differencing a primitive summed over the
+    whole mesh picks other stencils and verdicts than exact ENO at both
+    p = 3 and p = 6.
+    """
+    rng = random.Random(seed)
+    xs = [0.0]
+    for _ in range(ncells):
+        xs.append(xs[-1] + rng.choice((0.1, 0.3, 1 / 3, 0.7))
+                  * rng.uniform(0.9, 1.1))
+    level = rng.randint(-8, 8)
+    data = []
+    for _ in range(ncells):
+        if rng.random() < 0.02:
+            level = rng.randint(-8, 8)
+        data.append(float(level))
+    return xs, data
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_float_traces_follow_exact_eno_on_non_dyadic_steps(p):
+    xs, data = non_dyadic_steps()
+    floats = interface_traces(CellAverageField(Mesh(xs), data), p)
+    exact = interface_traces(CellAverageField(
+        Mesh([Fraction(x) for x in xs]), [Fraction(v) for v in data]), p)
+    assert [(t.left_signature, t.right_signature) for t in floats] \
+        == [(t.left_signature, t.right_signature) for t in exact]
+    assert sign_report(floats).counts == sign_report(exact).counts
