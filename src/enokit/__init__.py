@@ -57,6 +57,7 @@ from .stability import (
     BoundTable,
     InterfaceTrace,
     SignReport,
+    TraceBatch,
     bound_Cp,
     bound_constants_recursive,
     bound_cp,
@@ -65,6 +66,7 @@ from .stability import (
     sign_report,
     telescoped_jump_interpolation,
     telescoped_jump_reconstruction,
+    trace_columns,
     uniform_bound_Cp,
     uniform_bound_cp,
 )
@@ -113,6 +115,7 @@ __all__ = [
     "BoundTable",
     "InterfaceTrace",
     "SignReport",
+    "TraceBatch",
     "bound_Cp",
     "bound_constants_recursive",
     "bound_cp",
@@ -121,6 +124,7 @@ __all__ = [
     "sign_report",
     "telescoped_jump_interpolation",
     "telescoped_jump_reconstruction",
+    "trace_columns",
     "uniform_bound_Cp",
     "uniform_bound_cp",
     "__version__",

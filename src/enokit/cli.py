@@ -23,12 +23,13 @@ from .harness import (
     fuzz_sign_property,
     worst_case_averages,
 )
-from .numerics import EXACT, get_backend
+from .numerics import EXACT, get_backend, quotient
 from .stability import (
     bound_Cp,
     bound_cp,
     relative_jump,
     sign_report,
+    trace_columns,
     uniform_bound_Cp,
     uniform_bound_cp,
 )
@@ -142,20 +143,23 @@ def _write_text(path, text):
 
 
 def _trace_rows(traces, backend):
+    traces = trace_columns(traces)
     rows = []
-    for t in traces:
-        if t.data_jump == 0:
+    for x, left, right, d, left_sig, right_sig in zip(
+            traces.location, traces.left, traces.right, traces.data_jump,
+            traces.left_signatures, traces.right_signatures):
+        if d == 0:
             ratio = "CONT"
         else:
-            ratio = backend.serialize(relative_jump(t))
+            ratio = backend.serialize(quotient(right - left, d))
         rows.append((
-            backend.serialize(t.location),
-            backend.serialize(t.left),
-            backend.serialize(t.right),
-            backend.serialize(t.data_jump),
+            backend.serialize(x),
+            backend.serialize(left),
+            backend.serialize(right),
+            backend.serialize(d),
             ratio,
-            str(t.left_signature),
-            str(t.right_signature),
+            str(left_sig),
+            str(right_sig),
         ))
     return rows
 
@@ -237,10 +241,7 @@ def _cmd_worst_case(args):
     traces = interface_traces(field, args.order)
     report = sign_report(traces)
     target = args.cells // 2
-    ratio = None
-    for t in traces:
-        if t.index == target:
-            ratio = relative_jump(t)
+    ratio = relative_jump(traces[target - args.order])
     payload = {
         "interfaces": len(traces),
         "violations": report.violations,

@@ -6,6 +6,8 @@ magnitude, ties keeping the current stencil. The stencil polynomial of a
 node is evaluated one-sided at the midpoints between nodes.
 """
 
+from itertools import repeat
+
 from .eno_reconstruction import (
     NODE,
     NewtonPolynomial,
@@ -13,9 +15,11 @@ from .eno_reconstruction import (
     _check_batch,
     _check_window,
     _select,
+    _signatures,
+    _stage_values,
 )
 from .numerics import divided_difference_table, float_entry, level_table
-from .stability import InterfaceTrace
+from .stability import TraceBatch
 
 # Interpolation signatures are stencil signatures anchored at nodes.
 PointSignature = StencilSignature
@@ -42,7 +46,7 @@ def select_signature_pointwise(field, node, p, table=None):
     if table is None:
         table = divided_difference_table(field.nodes, field.values,
                                          max_order=p - 1)
-    return _select(table.levels, node, p, NODE)
+    return _signatures(_select(table.levels, node, node, p, NODE))[0]
 
 
 def interpolant_at_node(field, node, p, table=None):
@@ -70,24 +74,6 @@ def interpolant_at_node(field, node, p, table=None):
     return NewtonPolynomial(tuple(points), tuple(coefficients))
 
 
-def _eval_at(table, node, offsets, x):
-    """Value at x of the node's stencil polynomial, Newton product form.
-
-    Each product runs over its stencil in index order from the first
-    factor.
-    """
-    X = table.points
-    levels = table.levels
-    total = levels[0][node]
-    for j in range(2, len(offsets) + 1):
-        start = node + offsets[j - 2]
-        prod = x - X[start]
-        for idx in range(start + 1, start + j - 1):
-            prod = prod * (x - X[idx])
-        total = total + levels[j - 1][node + offsets[j - 1]] * prod
-    return total
-
-
 def midpoint_traces(field, p, table=None):
     """One-sided traces at every interior node midpoint.
 
@@ -104,30 +90,32 @@ def midpoint_traces(field, p, table=None):
             scalars, with max_order >= p-1, reused across orders.
 
     Returns:
-        list of InterfaceTrace, ordered by left node index.
+        TraceBatch over the midpoints right of nodes p-1..len-p-1, in
+        index order: columns of the left node indices, midpoints, left
+        and right traces, value jumps and both signatures. An
+        InterfaceTrace is built only when an element is read.
 
     Raises:
         StencilOutOfRange: fewer than 2p nodes.
     """
     n = len(field.nodes)
     _check_batch(n, p, "nodes")
-    X, data, _ = float_entry(field.nodes, field.values)
+    X, data, approximate = float_entry(field.nodes, field.values)
     if table is None:
         table = level_table(X, data, p - 1)
     X = table.points
-    sigs = [_select(table.levels, i, p, NODE) for i in range(p - 1, n - p + 1)]
-    out = []
-    for nu in range(p - 1, n - p):
-        xm = (X[nu] + X[nu + 1]) / 2
-        left_sig = sigs[nu - p + 1]
-        right_sig = sigs[nu - p + 2]
-        out.append(InterfaceTrace(
-            index=nu,
-            location=xm,
-            left=_eval_at(table, nu, left_sig.offsets, xm),
-            right=_eval_at(table, nu + 1, right_sig.offsets, xm),
-            data_jump=data[nu + 1] - data[nu],
-            left_signature=left_sig,
-            right_signature=right_sig,
-        ))
-    return out
+    # Nodes p-1..n-p: the left traces come from all but the last, the
+    # right traces from all but the first.
+    stages = _select(table.levels, p - 1, n - p, p, NODE)
+    signatures = _signatures(stages)
+    mids = [(a + b) / 2 for a, b in zip(X[p - 1:n - p], X[p:n - p + 1])]
+    return TraceBatch(
+        range(p - 1, n - p),
+        mids,
+        _stage_values(table, [s[:-1] for s in stages], mids, repeat(None), NODE),
+        _stage_values(table, [s[1:] for s in stages], mids, repeat(None), NODE),
+        [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
+        signatures[:-1],
+        signatures[1:],
+        approximate,
+    )

@@ -7,6 +7,9 @@ per stage, extending toward the side whose divided difference is strictly
 smaller in magnitude; ties keep the current stencil. The interpolant of
 the running integral over the final stencil is differentiated to give the
 in-cell polynomial, whose one-sided values at the interfaces are the traces.
+A stage's choices depend only on the previous stage's, so selection and
+evaluation run stage by stage over all cells at once, and the traces come
+back as one columnar TraceBatch.
 """
 
 from dataclasses import dataclass
@@ -16,9 +19,9 @@ from .numerics import (
     divided_difference_table,
     float_entry,
     level_table,
-    promote_integers,
+    quotient,
 )
-from .stability import InterfaceTrace
+from .stability import TraceBatch
 
 
 @dataclass(frozen=True)
@@ -74,22 +77,86 @@ def _check_window(npts, anchor, p, shift):
         )
 
 
-def _select(levels, anchor, p, shift):
-    """Grow the anchor's stencil one point per stage.
+def _select(levels, first, last, p, shift):
+    """Grow the stencils of anchors first..last one point per stage.
 
-    Stage j compares the magnitudes of the two divided differences in
-    levels[j + shift] that would extend the current stencil by one point
-    to the left or to the right, and moves left only on a strict win; ties
-    keep the current stencil. Deterministic.
+    Stage j compares, for every anchor at once, the magnitudes of the two
+    divided differences in levels[j + shift] that would extend its
+    stage-j stencil by one point to the left or to the right, and moves
+    left only on a strict win; ties keep the current stencil.
+    Deterministic. Each stage reads only the previous stage's choices.
+
+    Returns:
+        stages, where stages[j-1][i] is the leftmost point of anchor
+        first+i's stage-j stencil; stages[0] lists the anchors.
     """
-    left = anchor
-    offsets = [0] * p
+    left = list(range(first, last + 1))
+    stages = [left]
     for j in range(1, p):
         level = levels[j + shift]
-        if abs(level[left - 1]) < abs(level[left]):
-            left -= 1
-        offsets[j] = left - anchor
-    return StencilSignature(tuple(offsets))
+        left = [s - 1 if abs(level[s - 1]) < abs(level[s]) else s
+                for s in left]
+        stages.append(left)
+    return stages
+
+
+def _signatures(stages):
+    """The StencilSignature of every anchor in `stages` (see _select).
+
+    Anchors with the same offsets share one signature object, so a call
+    builds at most 2**(p-1) of them.
+    """
+    anchors = stages[0]
+    keys = list(zip(*[[s - a for s, a in zip(stage, anchors)]
+                      for stage in stages]))
+    interned = {key: StencilSignature(key) for key in set(keys)}
+    return [interned[key] for key in keys]
+
+
+def _product(X, x, start, stop, skip):
+    """Product of x - X[k] over k = start..stop-1 except `skip`, in index
+    order from the first factor."""
+    prod = None
+    for k in range(start, stop):
+        if k != skip:
+            prod = x - X[k] if prod is None else prod * (x - X[k])
+    return prod
+
+
+def _stage_values(table, stages, xs, skips, shift):
+    """Values at xs[i] of the stencil polynomials of the anchors in
+    `stages` (see _select), all anchors stage by stage.
+
+    The stage-1 term is levels[shift] at the anchor. The stage-j term,
+    j >= 2, is the stage-j divided difference, levels[j-1+shift] at the
+    stage-j stencil, times the product of x - X[k] over the stage-(j-1)
+    stencil, skipping point skips[i]. A
+    stage that kept its stencil multiplies the previous product by the one
+    new factor, which keeps every factor in index order; a stage that
+    moved left recomputes its product from the first factor. With
+    shift = CELL this is the derivative of the primitive's interpolant at
+    the stencil point skips[i] = xs[i]; with shift = NODE, the values'
+    interpolant at any xs[i] (no point is skipped).
+    """
+    X = table.points
+    levels = table.levels
+    totals = [levels[shift][a] for a in stages[0]]
+    prods = None
+    for j in range(2, len(stages) + 1):
+        width = j - 1 + shift  # points of the stage-(j-1) stencil
+        base = stages[j - 2]
+        if prods is None:
+            prods = [_product(X, x, s, s + width, q)
+                     for x, s, q in zip(xs, base, skips)]
+        else:
+            prods = [r * (x - X[s + width - 1]) if s == b
+                     else _product(X, x, s, s + width, q)
+                     for r, x, s, b, q in zip(prods, xs, base, stages[j - 3],
+                                              skips)]
+        level = levels[j - 1 + shift]
+        totals = [t + level[s] * r
+                  for t, s, r in zip(totals, stages[j - 1], prods)]
+    return totals
 
 
 def _check_batch(npts, p, unit):
@@ -187,14 +254,16 @@ def select_signature(primitive, cell, p, table=None):
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
-    return _select(table.levels, cell, p, CELL)
+    return _signatures(_select(table.levels, cell, cell, p, CELL))[0]
 
 
 def newton_interpolant(primitive, signature, cell, table=None):
     """Newton form of the primitive's interpolant over the final stencil.
 
     Points are ordered by the stage at which the signature brought them
-    in, so coefficient j is exactly the stage-j divided difference.
+    in, so coefficient j is exactly the stage-j divided difference. A
+    table built from the averages has no level 0; the constant term is
+    then the primitive's own value at the cell.
     """
     p = signature.order
     _check_window(len(primitive.nodes), cell, p, CELL)
@@ -204,7 +273,8 @@ def newton_interpolant(primitive, signature, cell, table=None):
     X = table.points
     levels = table.levels
     points = [X[cell]]
-    coefficients = [levels[0][cell]]
+    coefficients = [primitive.values[cell] if levels[0] is None
+                    else levels[0][cell]]
     prev = 0
     for j in range(1, p + 1):
         k = signature.offsets[j - 1]
@@ -229,33 +299,7 @@ def cell_mean(poly, mesh):
     a = mesh.interfaces[poly.cell]
     b = mesh.interfaces[poly.cell + 1]
     anti = poly.antiderivative
-    num = anti.value(b) - anti.value(a)
-    den = b - a
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    num, den = promote_integers([num, den])
-    return num / den
-
-
-def _trace_at(table, cell, offsets, q):
-    """One-sided trace at point q of the cell's derivative polynomial.
-
-    Evaluates the derivative of the Newton interpolant at a stencil point
-    directly: only the product that skips the zero factor survives. Each
-    product runs over its stencil in index order from the first factor.
-    """
-    X = table.points
-    levels = table.levels
-    xq = X[q]
-    total = levels[1][cell]
-    for j in range(2, len(offsets) + 1):
-        start = cell + offsets[j - 2]
-        prod = None
-        for idx in range(start, start + j):
-            if idx != q:
-                prod = xq - X[idx] if prod is None else prod * (xq - X[idx])
-        total = total + levels[j][cell + offsets[j - 1]] * prod
-    return total
+    return quotient(anti.value(b) - anti.value(a), b - a)
 
 
 def interface_traces(field, p, table=None):
@@ -276,29 +320,32 @@ def interface_traces(field, p, table=None):
             differences); level 0 is never read, so it may be None.
 
     Returns:
-        list of InterfaceTrace, ordered by interface index.
+        TraceBatch over interfaces p..ncells-p, in index order: columns of
+        the interface indices, locations, left and right traces, data
+        jumps and both signatures. An InterfaceTrace is built only when an
+        element is read.
 
     Raises:
         StencilOutOfRange: fewer than 2p cells.
     """
     n = field.mesh.ncells
     _check_batch(n, p, "cells")
-    X, data, _ = float_entry(field.mesh.interfaces, field.averages)
+    X, data, approximate = float_entry(field.mesh.interfaces, field.averages)
     if table is None:
         table = level_table(X, data, p, order=1)
-    X = table.points
-    sigs = [_select(table.levels, c, p, CELL) for c in range(p - 1, n - p + 1)]
-    out = []
-    for iota in range(p, n - p + 1):
-        left_sig = sigs[iota - p]
-        right_sig = sigs[iota - p + 1]
-        out.append(InterfaceTrace(
-            index=iota,
-            location=X[iota],
-            left=_trace_at(table, iota - 1, left_sig.offsets, iota),
-            right=_trace_at(table, iota, right_sig.offsets, iota),
-            data_jump=data[iota] - data[iota - 1],
-            left_signature=left_sig,
-            right_signature=right_sig,
-        ))
-    return out
+    # Cells p-1..n-p: the left traces come from all but the last, the
+    # right traces from all but the first.
+    stages = _select(table.levels, p - 1, n - p, p, CELL)
+    signatures = _signatures(stages)
+    faces = range(p, n - p + 1)
+    at = table.points[p:n - p + 1]
+    return TraceBatch(
+        faces,
+        at,
+        _stage_values(table, [s[:-1] for s in stages], at, faces, CELL),
+        _stage_values(table, [s[1:] for s in stages], at, faces, CELL),
+        [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
+        signatures[:-1],
+        signatures[1:],
+        approximate,
+    )

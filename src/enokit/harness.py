@@ -33,6 +33,7 @@ from .stability import (
     sign_report,
     telescoped_jump_interpolation,
     telescoped_jump_reconstruction,
+    trace_columns,
 )
 
 ORACLE_FLOAT_TOL = 1e-9
@@ -86,11 +87,9 @@ def worst_case_averages(p, epsilon=1e-10, n_cells=20, backend=FLOAT):
 def worst_case_ratio(p, epsilon=1e-10, n_cells=20, backend=FLOAT):
     """Relative trace jump of the worst-case field at coordinate 4."""
     field = worst_case_averages(p, epsilon, n_cells, backend)
-    iota = n_cells // 2
-    for t in interface_traces(field, p):
-        if t.index == iota:
-            return relative_jump(t)
-    raise StencilOutOfRange(f"interface {iota} not interior at order {p}")
+    # Interface n_cells // 2 is interior: worst_case_averages asks for
+    # n_cells >= 2p + 10, and traces start at interface p.
+    return relative_jump(interface_traces(field, p)[n_cells // 2 - p])
 
 
 # ---- Checks ----
@@ -100,10 +99,11 @@ def check_orders(field, orders):
 
     A CellAverageField is reconstructed, a PointValueField interpolated;
     one divided-difference table serves every order, trace and oracle.
-    Yields (p, traces, sign_report(traces), agrees), where agrees[i] says
-    whether the telescoped jump equals traces[i].jump: exactly for exact
-    data, within ORACLE_FLOAT_TOL of its scale for float data. Raises
-    StencilOutOfRange when an order does not fit the data.
+    Yields (p, traces, sign_report(traces), agrees), where traces is a
+    TraceBatch and agrees[i] says whether the telescoped jump equals
+    traces[i].jump: exactly for exact data, within ORACLE_FLOAT_TOL of its
+    scale for float data. Raises StencilOutOfRange when an order does not
+    fit the data.
     """
     orders = tuple(orders)
     if not orders:
@@ -118,10 +118,13 @@ def check_orders(field, orders):
     table = level_table(coords, data, min(max(orders) + level, len(coords) - 1),
                         level)
     for p in orders:
-        traces = traces_of(field, p, table=table)
+        traces = trace_columns(traces_of(field, p, table=table))
         # The oracle reads only the table, so it is given no source field.
-        pairs = [(telescoped(None, t.left_signature, t.right_signature,
-                             t.index, p, table=table), t.jump) for t in traces]
+        pairs = [(telescoped(None, left_sig, right_sig, index, p, table=table),
+                  right - left)
+                 for index, left, right, left_sig, right_sig in zip(
+                     traces.index, traces.left, traces.right,
+                     traces.left_signatures, traces.right_signatures)]
         if approximate:
             agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
                       for tele, jump in pairs]
@@ -297,12 +300,13 @@ def _run_fuzz_trial(config, trial):
         payload["interfaces"] += len(traces)
         best_ratio = None
         best_bound = None
-        for t, verdict, ratio, agree in zip(traces, report.verdicts,
-                                            report.ratios, agrees):
+        for i, (index, verdict, ratio, agree) in enumerate(zip(
+                traces.index, report.verdicts, report.ratios, agrees)):
             if verdict == "VIOLATION":
                 payload["violations"] += 1
-                payload["violation_witnesses"].append(witness(p, t, "sign"))
-            bound = bounds[p][t.index]
+                payload["violation_witnesses"].append(
+                    witness(p, traces[i], "sign"))
+            bound = bounds[p][index]
             if best_bound is None or bound > best_bound:
                 best_bound = bound
             if ratio is not None:
@@ -311,13 +315,15 @@ def _run_fuzz_trial(config, trial):
                     1 + EXACT.convert(ORACLE_FLOAT_TOL))
                 if exact_ratio > slack:
                     payload["bound_exceedances"] += 1
-                    payload["violation_witnesses"].append(witness(p, t, "bound"))
+                    payload["violation_witnesses"].append(
+                        witness(p, traces[i], "bound"))
                 if best_ratio is None or ratio > best_ratio:
                     best_ratio = ratio
-                    candidate = (trial, p, t.index)
+                    candidate = (trial, p, index)
             if not agree:
                 payload["oracle_mismatches"] += 1
-                payload["violation_witnesses"].append(witness(p, t, "oracle"))
+                payload["violation_witnesses"].append(
+                    witness(p, traces[i], "oracle"))
         payload["max_ratio"][p] = (
             None if best_ratio is None else backend.serialize(best_ratio))
         payload["bound"][p] = EXACT.serialize(best_bound)
@@ -464,11 +470,12 @@ def convergence_study(sampler, orders, resolutions, domain=(0.0, 1.0)):
                 half = 0.5 * (X[i + 1] - X[i])
                 samples = [sampler(mid + half * t) for t in gauss_x]
                 averages.append(0.5 * float(np.dot(gauss_w, samples)))
-            field = CellAverageField(Mesh(X), averages)
+            traces = interface_traces(CellAverageField(Mesh(X), averages), p)
             err = 0.0
-            for t in interface_traces(field, p):
-                truth = sampler(t.location)
-                err = max(err, abs(t.left - truth), abs(t.right - truth))
+            for x, left, right in zip(traces.location, traces.left,
+                                      traces.right):
+                truth = sampler(x)
+                err = max(err, abs(left - truth), abs(right - truth))
             row.append(err)
         errors.append(tuple(row))
     rates = []

@@ -139,6 +139,14 @@ def promote_integers(values):
     return [conv(v) if type(v) is int else v for v in vals]
 
 
+def quotient(a, b):
+    """a / b: binary64 when either is a float, else exact."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    pa, pb = promote_integers([a, b])
+    return pa / pb
+
+
 def halfway(a, b):
     """Midpoint of a and b: binary64 when either is a float, else exact."""
     if isinstance(a, float) or isinstance(b, float):

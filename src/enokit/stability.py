@@ -10,6 +10,7 @@ data is binary64; comparing a measured jump ratio against a bound must not
 be polluted by round-off in the bound itself.
 """
 
+import operator
 from dataclasses import dataclass
 from math import factorial
 
@@ -19,7 +20,7 @@ from .numerics import (
     divided_difference_table,
     halfway,
     is_float_data,
-    promote_integers,
+    quotient,
 )
 
 FLOAT_SIGN_TOL = 1e-12
@@ -51,6 +52,68 @@ class InterfaceTrace:
         return self.right - self.left
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class TraceBatch:
+    """Traces at consecutive breakpoints, held as columns.
+
+    `index`, `location`, `left`, `right`, `data_jump`, `left_signatures`
+    and `right_signatures` hold, breakpoint by breakpoint, the fields of
+    the matching InterfaceTrace. The batch is a read-only sequence of
+    those traces: len, integer (also negative) indexing and iteration
+    build InterfaceTrace objects only for the elements asked for.
+    `approximate` is True for binary64 data, False for exact data, and
+    None when the verdicts must look at each trace's scalars.
+    """
+
+    index: object
+    location: object
+    left: object
+    right: object
+    data_jump: object
+    left_signatures: object
+    right_signatures: object
+    approximate: object = None
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        return InterfaceTrace(self.index[i], self.location[i], self.left[i],
+                              self.right[i], self.data_jump[i],
+                              self.left_signatures[i], self.right_signatures[i])
+
+    def __iter__(self):
+        return map(InterfaceTrace, self.index, self.location, self.left,
+                   self.right, self.data_jump, self.left_signatures,
+                   self.right_signatures)
+
+    def __eq__(self, other):
+        if isinstance(other, (TraceBatch, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"TraceBatch({list(self)!r})"
+
+
+def trace_columns(traces):
+    """The traces as a TraceBatch: a batch as it is, any other iterable of
+    InterfaceTrace read into columns, its verdicts decided trace by trace."""
+    if isinstance(traces, TraceBatch):
+        return traces
+    traces = list(traces)
+    return TraceBatch(
+        [t.index for t in traces],
+        [t.location for t in traces],
+        [t.left for t in traces],
+        [t.right for t in traces],
+        [t.data_jump for t in traces],
+        [t.left_signature for t in traces],
+        [t.right_signature for t in traces],
+    )
+
+
 @dataclass(frozen=True)
 class SignReport:
     """Per-breakpoint verdicts plus aggregate counters."""
@@ -68,18 +131,11 @@ class SignReport:
         }
 
 
-def _divide(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
-    pa, pb = promote_integers([a, b])
-    return pa / pb
-
-
 def relative_jump(trace):
     """(right - left) / data_jump, or None when the data jump is zero."""
     if trace.data_jump == 0:
         return None
-    return _divide(trace.jump, trace.data_jump)
+    return quotient(trace.jump, trace.data_jump)
 
 
 def _verdict_exact(left, right, d):
@@ -88,7 +144,7 @@ def _verdict_exact(left, right, d):
         if jump == 0:
             return "Continuous", None
         return "VIOLATION", None
-    ratio = _divide(jump, d)
+    ratio = quotient(jump, d)
     if jump == 0:
         return "Continuous", ratio
     if ratio < 0:
@@ -110,28 +166,30 @@ def _verdict_float(left, right, d):
     return "SameSign", ratio
 
 
+def _verdict_any(left, right, d):
+    if is_float_data((left, right, d)):
+        return _verdict_float(left, right, d)
+    return _verdict_exact(left, right, d)
+
+
+_JUDGES = {True: _verdict_float, False: _verdict_exact, None: _verdict_any}
+
+
 def sign_report(traces):
     """Classify every trace pair and aggregate the verdicts.
 
     Exact scalars get strict verdicts; float scalars tolerate wrong-signed
     jumps up to FLOAT_SIGN_TOL times the local scale before flagging, so
-    round-off is not reported as a violation.
+    round-off is not reported as a violation. `traces` is a TraceBatch or
+    any iterable of InterfaceTrace.
     """
-    verdicts = []
-    ratios = []
-    violations = 0
-    max_ratio = None
-    for t in traces:
-        approximate = is_float_data((t.left, t.right, t.data_jump))
-        judge = _verdict_float if approximate else _verdict_exact
-        verdict, ratio = judge(t.left, t.right, t.data_jump)
-        verdicts.append(verdict)
-        ratios.append(ratio)
-        if verdict == "VIOLATION":
-            violations += 1
-        if ratio is not None and (max_ratio is None or ratio > max_ratio):
-            max_ratio = ratio
-    return SignReport(tuple(verdicts), tuple(ratios), violations, max_ratio)
+    batch = trace_columns(traces)
+    judged = list(map(_JUDGES[batch.approximate], batch.left, batch.right,
+                      batch.data_jump))
+    verdicts = tuple(verdict for verdict, _ in judged)
+    ratios = tuple(ratio for _, ratio in judged)
+    max_ratio = max((r for r in ratios if r is not None), default=None)
+    return SignReport(verdicts, ratios, verdicts.count("VIOLATION"), max_ratio)
 
 
 # ---- Telescoped jump oracles ----

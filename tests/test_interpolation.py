@@ -1,18 +1,22 @@
 """Pointwise stencil selection, interpolants, and midpoint traces."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from enokit import (
+    InterfaceTrace,
     PointSignature,
     PointValueField,
     StencilOutOfRange,
+    StencilSignature,
     interpolant_at_node,
     midpoint_traces,
     select_signature_pointwise,
+    sign_report,
 )
 
 from conftest import (
@@ -141,3 +145,95 @@ def test_float_path_tracks_exact_path(p):
         assert te.index == tf.index
         assert tf.left == pytest.approx(float(te.left), rel=1e-9, abs=1e-9)
         assert tf.right == pytest.approx(float(te.right), rel=1e-9, abs=1e-9)
+
+
+def _value_from_scratch(table, node, offsets, x):
+    """Value at x of the node's stencil polynomial, one breakpoint at a
+    time: every stage's product starts again from its first factor, in
+    index order."""
+    X, levels = table.points, table.levels
+    total = levels[0][node]
+    for j in range(2, len(offsets) + 1):
+        start = node + offsets[j - 2]
+        prod = x - X[start]
+        for idx in range(start + 1, start + j - 1):
+            prod = prod * (x - X[idx])
+        total = total + levels[j - 1][node + offsets[j - 1]] * prod
+    return total
+
+
+def _contract_field(scalar, p):
+    rng = random.Random(200 + p)
+    n = 2 * p + 12
+    xs = random_fraction_mesh(rng, n)
+    values = [v if i % 3 else v + Fraction(1, 10 ** 9)
+              for i, v in enumerate(random_int_values(rng, n))]
+    return PointValueField([scalar(x) for x in xs], [scalar(v) for v in values])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("scalar", [Fraction, float])
+def test_trace_batch_contract(monkeypatch, scalar, p):
+    import enokit.harness as harness
+    from enokit.harness import check_orders
+    from enokit.numerics import halfway, level_table
+
+    field = _contract_field(scalar, p)
+    n = len(field.nodes)
+    table = level_table(field.nodes, field.values, p - 1)
+    X = table.points
+    sigs = {i: select_signature_pointwise(field, i, p, table=table)
+            for i in range(p - 1, n - p + 1)}
+    expected = []
+    for nu in range(p - 1, n - p):
+        xm = halfway(X[nu], X[nu + 1])
+        expected.append(InterfaceTrace(
+            nu, xm,
+            _value_from_scratch(table, nu, sigs[nu].offsets, xm),
+            _value_from_scratch(table, nu + 1, sigs[nu + 1].offsets, xm),
+            field.values[nu + 1] - field.values[nu],
+            sigs[nu], sigs[nu + 1]))
+
+    batch = midpoint_traces(field, p)
+    assert len(batch) == len(expected)
+    assert batch[0] == expected[0] and batch[-1] == expected[-1]
+    assert isinstance(batch[-1], InterfaceTrace)
+    assert list(batch) == expected
+    assert [repr(t) for t in batch] == [repr(t) for t in expected]
+    for column, name in [
+            ("index", "index"), ("location", "location"), ("left", "left"),
+            ("right", "right"), ("data_jump", "data_jump"),
+            ("left_signatures", "left_signature"),
+            ("right_signatures", "right_signature")]:
+        assert list(getattr(batch, column)) == [getattr(t, name) for t in batch]
+    assert sign_report(batch) == sign_report(list(batch))
+
+    checked = list(check_orders(field, (p,)))
+    monkeypatch.setattr(harness, "midpoint_traces",
+                        lambda *args, **kwargs: list(batch))
+    [(order, traces, report, agrees)] = check_orders(field, (p,))
+    [(_, want_traces, want_report, want_agrees)] = checked
+    assert (order, list(traces), report, agrees) \
+        == (p, list(want_traces), want_report, want_agrees)
+
+
+def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
+    """sign_report(midpoint_traces(...)) builds no InterfaceTrace and at
+    most one signature per distinct offset tuple."""
+    built = Counter()
+    for cls in (InterfaceTrace, StencilSignature):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rng = random.Random(512)
+    xs = [0.0]
+    for _ in range(512):
+        xs.append(xs[-1] + rng.uniform(0.5, 2.0))
+    field = PointValueField(xs, [float(rng.randint(-99, 99)) for _ in range(513)])
+    sign_report(midpoint_traces(field, 6))
+    assert built["InterfaceTrace"] == 0
+    assert 0 < built["StencilSignature"] <= 32

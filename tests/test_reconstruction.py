@@ -1,6 +1,7 @@
 """Stencil selection, Newton forms, traces, and conservation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from enokit import (
     CellAverageField,
+    InterfaceTrace,
     Mesh,
     StencilOutOfRange,
     StencilSignature,
@@ -260,3 +262,120 @@ def test_float_traces_follow_exact_eno_on_non_dyadic_steps(p):
     assert [(t.left_signature, t.right_signature) for t in floats] \
         == [(t.left_signature, t.right_signature) for t in exact]
     assert sign_report(floats).counts == sign_report(exact).counts
+
+
+def test_newton_interpolant_from_an_averages_table():
+    """A table built from the averages has no level 0; the polynomial takes
+    its constant term from the primitive and equals the one built from the
+    primitive's own table."""
+    from enokit import divided_difference_table
+    from enokit.numerics import level_table
+
+    rng = random.Random(8)
+    field = CellAverageField(uniform_mesh(12), random_int_values(rng, 12))
+    prim = primitive_from_averages(field)
+    for p in (1, 3, 4):
+        table = level_table(field.mesh.interfaces, field.averages, p + 1,
+                            order=1)
+        own = divided_difference_table(prim.nodes, prim.values, max_order=p)
+        for cell in range(p - 1, 13 - p):
+            poly = reconstruct_cell(prim, cell, p, table=table)
+            assert poly == reconstruct_cell(prim, cell, p, table=own)
+    floats = CellAverageField(Mesh([float(x) for x in field.mesh.interfaces]),
+                              [float(v) for v in field.averages])
+    prim = primitive_from_averages(floats)
+    table = level_table(floats.mesh.interfaces, floats.averages, 4, order=1)
+    poly = reconstruct_cell(prim, 5, 3, table=table)
+    assert cell_mean(poly, floats.mesh) == pytest.approx(floats.averages[5])
+
+
+def _trace_from_scratch(table, cell, offsets, q):
+    """One-sided trace at point q, one breakpoint at a time: every stage's
+    product starts again from its first factor, in index order."""
+    X, levels = table.points, table.levels
+    xq = X[q]
+    total = levels[1][cell]
+    for j in range(2, len(offsets) + 1):
+        start = cell + offsets[j - 2]
+        prod = None
+        for idx in range(start, start + j):
+            if idx != q:
+                prod = xq - X[idx] if prod is None else prod * (xq - X[idx])
+        total = total + levels[j][cell + offsets[j - 1]] * prod
+    return total
+
+
+def _contract_field(scalar, p):
+    rng = random.Random(100 + p)
+    n = 2 * p + 12
+    xs = random_fraction_mesh(rng, n + 1)
+    values = [v if i % 3 else v + Fraction(1, 10 ** 9)
+              for i, v in enumerate(random_int_values(rng, n))]
+    return CellAverageField(Mesh([scalar(x) for x in xs]),
+                            [scalar(v) for v in values])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("scalar", [Fraction, float])
+def test_trace_batch_contract(monkeypatch, scalar, p):
+    import enokit.harness as harness
+    from enokit.harness import check_orders
+    from enokit.numerics import level_table
+
+    field = _contract_field(scalar, p)
+    n = field.mesh.ncells
+    table = level_table(field.mesh.interfaces, field.averages, p, order=1)
+    prim = primitive_from_averages(field)
+    sigs = {c: select_signature(prim, c, p, table=table)
+            for c in range(p - 1, n - p + 1)}
+    expected = [InterfaceTrace(
+        iota, table.points[iota],
+        _trace_from_scratch(table, iota - 1, sigs[iota - 1].offsets, iota),
+        _trace_from_scratch(table, iota, sigs[iota].offsets, iota),
+        field.averages[iota] - field.averages[iota - 1],
+        sigs[iota - 1], sigs[iota]) for iota in range(p, n - p + 1)]
+
+    batch = interface_traces(field, p)
+    assert len(batch) == len(expected)
+    assert batch[0] == expected[0] and batch[-1] == expected[-1]
+    assert isinstance(batch[-1], InterfaceTrace)
+    assert list(batch) == expected
+    assert [repr(t) for t in batch] == [repr(t) for t in expected]
+    for column, name in [
+            ("index", "index"), ("location", "location"), ("left", "left"),
+            ("right", "right"), ("data_jump", "data_jump"),
+            ("left_signatures", "left_signature"),
+            ("right_signatures", "right_signature")]:
+        assert list(getattr(batch, column)) == [getattr(t, name) for t in batch]
+    assert sign_report(batch) == sign_report(list(batch))
+
+    checked = list(check_orders(field, (p,)))
+    monkeypatch.setattr(harness, "interface_traces",
+                        lambda *args, **kwargs: list(batch))
+    [(order, traces, report, agrees)] = check_orders(field, (p,))
+    [(_, want_traces, want_report, want_agrees)] = checked
+    assert (order, list(traces), report, agrees) \
+        == (p, list(want_traces), want_report, want_agrees)
+
+
+def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
+    """sign_report(interface_traces(...)) builds no InterfaceTrace and at
+    most one signature per distinct offset tuple."""
+    built = Counter()
+    for cls in (InterfaceTrace, StencilSignature):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rng = random.Random(512)
+    xs = [0.0]
+    for _ in range(512):
+        xs.append(xs[-1] + rng.uniform(0.5, 2.0))
+    field = CellAverageField(Mesh(xs), [float(rng.randint(-99, 99))
+                                        for _ in range(512)])
+    sign_report(interface_traces(field, 6))
+    assert built["InterfaceTrace"] == 0
+    assert 0 < built["StencilSignature"] <= 32

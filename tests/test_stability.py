@@ -65,6 +65,20 @@ def test_exact_verdicts():
     assert report.counts == {"SameSign": 1, "Continuous": 2, "VIOLATION": 2}
 
 
+def test_mixed_trace_list_is_judged_trace_by_trace():
+    """A list mixing exact and float traces keeps each trace's own judge:
+    the same wrong-signed 1e-15 jump is a VIOLATION in exact scalars and
+    round-off in floats."""
+    exact = _trace(Fraction(0), Fraction(-1, 10 ** 15), Fraction(1))
+    approx = _trace(0.0, -1e-15, 1.0)
+    mixed = [exact, approx, exact]
+    report = sign_report(mixed)
+    assert report.verdicts == ("VIOLATION", "Continuous", "VIOLATION")
+    assert report.verdicts == tuple(sign_report([t]).verdicts[0] for t in mixed)
+    assert report.ratios[0] == Fraction(-1, 10 ** 15)
+    assert report.max_ratio == Fraction(-1, 10 ** 15)
+
+
 def test_float_verdicts_tolerate_roundoff():
     tiny = 1e-15
     report = sign_report([
@@ -189,9 +203,13 @@ def test_telescoped_identity_for_every_signature_pair(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_telescoped_interpolation_identity_for_every_pair(p):
-    from enokit.eno_interpolation import _eval_at
+    from enokit.eno_reconstruction import NODE, _stage_values
     from enokit import PointSignature, divided_difference_table
     from enokit.numerics import halfway
+
+    def value_at(node, offsets, x):
+        stages = [[node + k] for k in offsets]
+        return _stage_values(table, stages, [x], [None], NODE)[0]
 
     rng = random.Random(14)
     n = 2 * p + 5
@@ -202,8 +220,8 @@ def test_telescoped_interpolation_identity_for_every_pair(p):
     xm = halfway(xs[nu], xs[nu + 1])
     for offs_left in _all_offset_tuples(p):
         for offs_right in _all_offset_tuples(p):
-            left = _eval_at(table, nu, offs_left, xm)
-            right = _eval_at(table, nu + 1, offs_right, xm)
+            left = value_at(nu, offs_left, xm)
+            right = value_at(nu + 1, offs_right, xm)
             tele = telescoped_jump_interpolation(
                 field, PointSignature(offs_left), PointSignature(offs_right),
                 nu, p
