@@ -6,20 +6,15 @@ magnitude, ties keeping the current stencil. The stencil polynomial of a
 node is evaluated one-sided at the midpoints between nodes.
 """
 
-from itertools import repeat
-
 from .eno_reconstruction import (
     NODE,
     NewtonPolynomial,
     StencilSignature,
-    _check_batch,
+    _anchor_signature,
     _check_window,
-    _select,
-    _signatures,
-    _stage_values,
+    _traces,
 )
-from .numerics import divided_difference_table, float_entry, level_table
-from .stability import TraceBatch
+from .numerics import divided_difference_table
 
 # Interpolation signatures are stencil signatures anchored at nodes.
 PointSignature = StencilSignature
@@ -41,12 +36,13 @@ def select_signature_pointwise(field, node, p, table=None):
 
     Raises:
         StencilOutOfRange: the candidate window leaves the data.
+        ValueError: the table's max_order is below p-1.
     """
     _check_window(len(field.nodes), node, p, NODE)
     if table is None:
         table = divided_difference_table(field.nodes, field.values,
                                          max_order=p - 1)
-    return _signatures(_select(table.levels, node, node, p, NODE))[0]
+    return _anchor_signature(table, node, p, NODE)
 
 
 def interpolant_at_node(field, node, p, table=None):
@@ -87,7 +83,11 @@ def midpoint_traces(field, p, table=None):
         field: PointValueField.
         p: order, >= 1.
         table: optional DividedDifferenceTable of the field, in its
-            scalars, with max_order >= p-1, reused across orders.
+            scalars, with max_order >= p-1, reused across orders. The
+            table keeps the nodes' stage-wise selection and evaluation, so
+            a call for a higher order resumes where the last one stopped;
+            a lower order starts again from stage 1. Without a table the
+            call builds its own, for this call only.
 
     Returns:
         TraceBatch over the midpoints right of nodes p-1..len-p-1, in
@@ -97,25 +97,7 @@ def midpoint_traces(field, p, table=None):
 
     Raises:
         StencilOutOfRange: fewer than 2p nodes.
+        ValueError: p < 1, or the table's max_order is below p-1.
+        ShapeError: the table is over another number of points.
     """
-    n = len(field.nodes)
-    _check_batch(n, p, "nodes")
-    X, data, approximate = float_entry(field.nodes, field.values)
-    if table is None:
-        table = level_table(X, data, p - 1)
-    X = table.points
-    # Nodes p-1..n-p: the left traces come from all but the last, the
-    # right traces from all but the first.
-    stages = _select(table.levels, p - 1, n - p, p, NODE)
-    signatures = _signatures(stages)
-    mids = [(a + b) / 2 for a, b in zip(X[p - 1:n - p], X[p:n - p + 1])]
-    return TraceBatch(
-        range(p - 1, n - p),
-        mids,
-        _stage_values(table, [s[:-1] for s in stages], mids, repeat(None), NODE),
-        _stage_values(table, [s[1:] for s in stages], mids, repeat(None), NODE),
-        [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
-        signatures[:-1],
-        signatures[1:],
-        approximate,
-    )
+    return _traces(field.nodes, field.values, p, table, NODE)

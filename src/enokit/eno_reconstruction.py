@@ -9,12 +9,15 @@ the running integral over the final stencil is differentiated to give the
 in-cell polynomial, whose one-sided values at the interfaces are the traces.
 A stage's choices depend only on the previous stage's, so selection and
 evaluation run stage by stage over all cells at once, and the traces come
-back as one columnar TraceBatch.
+back as one columnar TraceBatch. The order-p stencils are the first p
+stages of the order-(p+1) ones, so that stage-wise state is kept on the
+divided-difference table and a higher order resumes it.
 """
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 
-from .errors import StencilOutOfRange
+from .errors import ShapeError, StencilOutOfRange
 from .numerics import (
     divided_difference_table,
     float_entry,
@@ -77,38 +80,50 @@ def _check_window(npts, anchor, p, shift):
         )
 
 
-def _select(levels, first, last, p, shift):
-    """Grow the stencils of anchors first..last one point per stage.
+def _check_depth(table, p, shift):
+    """Raise unless the table holds every level an order-p stencil reads."""
+    need = p - 1 + shift
+    if table.max_order < need:
+        raise ValueError(
+            f"order {p} needs a divided-difference table of depth {need}; "
+            f"this one has depth {table.max_order}"
+        )
 
-    Stage j compares, for every anchor at once, the magnitudes of the two
-    divided differences in levels[j + shift] that would extend its
-    stage-j stencil by one point to the left or to the right, and moves
-    left only on a strict win; ties keep the current stencil.
-    Deterministic. Each stage reads only the previous stage's choices.
 
-    Returns:
-        stages, where stages[j-1][i] is the leftmost point of anchor
-        first+i's stage-j stencil; stages[0] lists the anchors.
+def _select(level, left):
+    """One stage of stencil selection, for every anchor at once.
+
+    left[i] is the leftmost point of an anchor's current stencil, and
+    level[s - 1] and level[s] are the divided differences that would extend
+    a stencil starting at s by one point to the left or to the right: the
+    next level of the table. The stencil moves left only on a strict win in
+    magnitude; ties keep it. Deterministic. Returns the next stage's
+    leftmost points.
     """
-    left = list(range(first, last + 1))
-    stages = [left]
+    return [s - 1 if abs(level[s - 1]) < abs(level[s]) else s for s in left]
+
+
+def _anchor_signature(table, anchor, p, shift):
+    """The order-p StencilSignature of one anchor, one _select per stage."""
+    _check_depth(table, p, shift)
+    left = [anchor]
+    offsets = [0]
     for j in range(1, p):
-        level = levels[j + shift]
-        left = [s - 1 if abs(level[s - 1]) < abs(level[s]) else s
-                for s in left]
-        stages.append(left)
-    return stages
+        left = _select(table.levels[j + shift], left)
+        offsets.append(left[0] - anchor)
+    return StencilSignature(offsets)
 
 
-def _signatures(stages):
-    """The StencilSignature of every anchor in `stages` (see _select).
+def _signatures(lefts):
+    """The StencilSignature of every anchor, from lefts[j-1][i], the
+    leftmost point of anchor lefts[0][i]'s stage-j stencil.
 
     Anchors with the same offsets share one signature object, so a call
     builds at most 2**(p-1) of them.
     """
-    anchors = stages[0]
-    keys = list(zip(*[[s - a for s, a in zip(stage, anchors)]
-                      for stage in stages]))
+    anchors = lefts[0]
+    keys = list(zip(*[[s - a for s, a in zip(column, anchors)]
+                      for column in lefts]))
     interned = {key: StencilSignature(key) for key in set(keys)}
     return [interned[key] for key in keys]
 
@@ -123,48 +138,143 @@ def _product(X, x, start, stop, skip):
     return prod
 
 
-def _stage_values(table, stages, xs, skips, shift):
-    """Values at xs[i] of the stencil polynomials of the anchors in
-    `stages` (see _select), all anchors stage by stage.
+def _shifted(column, k):
+    """column from entry k on: the entries of the breakpoints' left
+    anchors (k = 0) or right anchors (k = 1)."""
+    return islice(column, k, None) if k else column
 
-    The stage-1 term is levels[shift] at the anchor. The stage-j term,
-    j >= 2, is the stage-j divided difference, levels[j-1+shift] at the
-    stage-j stencil, times the product of x - X[k] over the stage-(j-1)
-    stencil, skipping point skips[i]. A
-    stage that kept its stencil multiplies the previous product by the one
-    new factor, which keeps every factor in index order; a stage that
-    moved left recomputes its product from the first factor. With
-    shift = CELL this is the derivative of the primitive's interpolant at
-    the stencil point skips[i] = xs[i]; with shift = NODE, the values'
-    interpolant at any xs[i] (no point is skipped).
+
+class _Stages:
+    """Stage-wise ENO selection and evaluation over one table, for one kind.
+
+    With n cells (shift = CELL) or nodes (shift = NODE) on the table,
+    breakpoint b lies between anchors b and b+1, b = 0..n-2; its index is
+    b + shift: interface b+1, or the midpoint right of node b. at[i] is
+    the location of the breakpoint with index i: the table's own points,
+    or the midpoints.
+
+    The state covers the order of the stage it has reached, j =
+    len(lefts): lefts[i-1][a] is the leftmost point of the stage-i
+    stencil of anchor j-1+a, for the order-j anchors j-1..n-j, and
+    sums[0][b] and sums[1][b] are the stage-j polynomials of breakpoint
+    j-1+b's left and right anchors there, for the order-j breakpoints
+    j-1..n-j-1. `prods` holds their last products, over the stage-(j-1)
+    stencils (None at stage 1). A higher order needs no anchor outside
+    that range, so growing a stage drops one anchor at each end of every
+    column; earlier stages' sums are not kept. Each stage builds new sums
+    lists, so the columns a TraceBatch took from an earlier stage never
+    change. Nothing here refers back to the table.
     """
-    X = table.points
-    levels = table.levels
-    totals = [levels[shift][a] for a in stages[0]]
-    prods = None
-    for j in range(2, len(stages) + 1):
-        width = j - 1 + shift  # points of the stage-(j-1) stencil
-        base = stages[j - 2]
-        if prods is None:
-            prods = [_product(X, x, s, s + width, q)
-                     for x, s, q in zip(xs, base, skips)]
+
+    def __init__(self, table, shift):
+        X = table.points
+        n = len(X) - shift
+        if shift == CELL:
+            self.at = X
         else:
-            prods = [r * (x - X[s + width - 1]) if s == b
-                     else _product(X, x, s, s + width, q)
-                     for r, x, s, b, q in zip(prods, xs, base, stages[j - 3],
-                                              skips)]
-        level = levels[j - 1 + shift]
-        totals = [t + level[s] * r
-                  for t, s, r in zip(totals, stages[j - 1], prods)]
-    return totals
+            self.at = [(a + b) / 2 for a, b in zip(X, X[1:])]
+        first = table.levels[shift]
+        self.lefts = [list(range(n))]
+        self.sums = [list(first[:n - 1]), list(first[1:n])]
+        self.prods = [None, None]
+
+    def grow(self, table, p, shift):
+        """Select and evaluate stages len(lefts)+1..p.
+
+        Stage j+1 adds to each stream the stage-(j+1) divided difference,
+        level j+shift at the new stencil, times the product of x - X[k]
+        over the stage-j stencil. A stencil that kept its left end
+        multiplies its previous product by the one new factor, which keeps
+        every factor in index order; one that moved left recomputes its
+        product from the first factor. With shift = CELL a sum is the
+        derivative of the primitive's interpolant at the interface, whose
+        own factor the products skip; with shift = NODE, the values'
+        interpolant at the midpoint.
+        """
+        X = table.points
+        lefts = self.lefts
+        sums = self.sums
+        prods = self.prods
+        for j in range(len(lefts), p):
+            for column in lefts:
+                del column[0], column[-1]
+            level = table.levels[j + shift]
+            lefts.append(_select(level, lefts[-1]))
+            # Indices of the stage-(j+1) breakpoints, which the first
+            # iterator of each zip below spans exactly.
+            lo = j + shift
+            hi = lo + len(lefts[0]) - 1
+            width = j + shift  # points of the stage-j stencil
+            # One stream at a time, each list replaced as soon as it is
+            # read, so no more than one stream's old and new columns live.
+            for k in (0, 1):
+                xs = islice(self.at, lo, hi)
+                cur = _shifted(lefts[j - 1], k)
+                # A cell's trace products skip the interface they are
+                # taken at; a node's skip no point.
+                skips = range(lo, hi) if shift == CELL else repeat(None)
+                if j == 1:
+                    prods[k] = [_product(X, x, s, s + width, q)
+                                for x, s, q in zip(xs, cur, skips)]
+                else:
+                    old = prods[k]
+                    del old[0], old[-1]
+                    prods[k] = [r * (x - X[s + width - 1]) if s == b
+                                else _product(X, x, s, s + width, q)
+                                for x, r, s, b, q in zip(
+                                    xs, old, cur, _shifted(lefts[j - 2], k),
+                                    skips)]
+                sums[k] = [t + level[s] * r for r, t, s in zip(
+                    prods[k], islice(sums[k], 1, None),
+                    _shifted(lefts[j], k))]
 
 
-def _check_batch(npts, p, unit):
+def _stages(table, p, shift):
+    """The table's stage-wise state of this kind, grown to stage p.
+
+    A table keeps one state per kind and later orders resume it. An order
+    below the stage it has reached starts again from stage 1 on a state
+    that is not stored.
+    """
+    _check_depth(table, p, shift)
+    state = table._eno_stages.get(shift)
+    if state is None:
+        state = table._eno_stages[shift] = _Stages(table, shift)
+    elif len(state.lefts) > p:
+        state = _Stages(table, shift)
+    state.grow(table, p, shift)
+    return state
+
+
+def _traces(coords, data, p, table, shift):
+    """Order-p TraceBatch of data of level `shift` over coords: the body
+    of interface_traces (CELL) and midpoint_traces (NODE)."""
     if p < 1:
         raise ValueError("order must be >= 1")
-    if npts < 2 * p:
+    n = len(data)
+    if n < 2 * p:
         raise StencilOutOfRange(
-            f"order {p} needs at least {2 * p} {unit}; have {npts}")
+            f"order {p} needs at least {2 * p} "
+            f"{'cells' if shift == CELL else 'nodes'}; have {n}")
+    X, data, approximate = float_entry(coords, data)
+    if table is None:
+        table = level_table(X, data, p - 1 + shift, order=shift)
+    elif len(table.points) != len(X):
+        raise ShapeError(
+            f"a table over {len(table.points)} points for data over {len(X)}")
+    state = _stages(table, p, shift)
+    signatures = _signatures(state.lefts)
+    left, right = state.sums
+    return TraceBatch(
+        range(p - 1 + shift, n - p + shift),
+        state.at[p - 1 + shift:n - p + shift],
+        left,
+        right,
+        [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
+        signatures[:-1],
+        signatures[1:],
+        approximate,
+    )
 
 
 @dataclass(frozen=True)
@@ -249,12 +359,13 @@ def select_signature(primitive, cell, p, table=None):
 
     Raises:
         StencilOutOfRange: the candidate window leaves the data.
+        ValueError: the table's max_order is below p.
     """
     _check_window(len(primitive.nodes), cell, p, CELL)
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
-    return _signatures(_select(table.levels, cell, cell, p, CELL))[0]
+    return _anchor_signature(table, cell, p, CELL)
 
 
 def newton_interpolant(primitive, signature, cell, table=None):
@@ -270,6 +381,7 @@ def newton_interpolant(primitive, signature, cell, table=None):
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
+    _check_depth(table, p, CELL)
     X = table.points
     levels = table.levels
     points = [X[cell]]
@@ -317,7 +429,11 @@ def interface_traces(field, p, table=None):
         table: optional DividedDifferenceTable over the interfaces, in the
             field's scalars, with max_order >= p, reused across orders.
             Level 1 holds the averages (the primitive's first divided
-            differences); level 0 is never read, so it may be None.
+            differences); level 0 is never read, so it may be None. The
+            table keeps the cells' stage-wise selection and evaluation, so
+            a call for a higher order resumes where the last one stopped;
+            a lower order starts again from stage 1. Without a table the
+            call builds its own, for this call only.
 
     Returns:
         TraceBatch over interfaces p..ncells-p, in index order: columns of
@@ -327,25 +443,7 @@ def interface_traces(field, p, table=None):
 
     Raises:
         StencilOutOfRange: fewer than 2p cells.
+        ValueError: p < 1, or the table's max_order is below p.
+        ShapeError: the table is over another number of points.
     """
-    n = field.mesh.ncells
-    _check_batch(n, p, "cells")
-    X, data, approximate = float_entry(field.mesh.interfaces, field.averages)
-    if table is None:
-        table = level_table(X, data, p, order=1)
-    # Cells p-1..n-p: the left traces come from all but the last, the
-    # right traces from all but the first.
-    stages = _select(table.levels, p - 1, n - p, p, CELL)
-    signatures = _signatures(stages)
-    faces = range(p, n - p + 1)
-    at = table.points[p:n - p + 1]
-    return TraceBatch(
-        faces,
-        at,
-        _stage_values(table, [s[:-1] for s in stages], at, faces, CELL),
-        _stage_values(table, [s[1:] for s in stages], at, faces, CELL),
-        [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
-        signatures[:-1],
-        signatures[1:],
-        approximate,
-    )
+    return _traces(field.mesh.interfaces, field.averages, p, table, CELL)

@@ -182,7 +182,12 @@ def periodic_extension(field, pad):
 
     Convenience for exercising interior-only operations on periodic data;
     no extrapolation is ever fabricated.
+
+    Raises:
+        ValueError: pad < 0.
     """
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0; got {pad}")
     X = field.mesh.interfaces
     n = field.mesh.ncells
     widths = [X[i + 1] - X[i] for i in range(n)]
@@ -203,9 +208,18 @@ def periodic_extension_points(field, pad):
     The node pattern repeats with index period n-1 (the last node plays the
     role of the first, one period later), so padded values wrap with that
     period while the original samples are kept verbatim.
+
+    Raises:
+        ValueError: pad < 0.
+        ShapeError: fewer than two nodes, which leave no period.
     """
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0; got {pad}")
     xs = field.nodes
     n = len(xs)
+    if n < 2:
+        raise ShapeError(
+            f"a periodic extension needs at least 2 nodes; have {n}")
     gaps = [xs[i + 1] - xs[i] for i in range(n - 1)]
     gap_idx = [i % (n - 1) for i in range(-pad, n - 1 + pad)]
     wrapped = [gaps[i] for i in gap_idx]

@@ -99,11 +99,13 @@ def check_orders(field, orders):
 
     A CellAverageField is reconstructed, a PointValueField interpolated;
     one divided-difference table serves every order, trace and oracle.
-    Yields (p, traces, sign_report(traces), agrees), where traces is a
-    TraceBatch and agrees[i] says whether the telescoped jump equals
-    traces[i].jump: exactly for exact data, within ORACLE_FLOAT_TOL of its
-    scale for float data. Raises StencilOutOfRange when an order does not
-    fit the data.
+    The distinct orders are traced in ascending order, so each resumes the
+    stage-wise selection and evaluation the previous one left on the
+    table. Yields (p, traces, sign_report(traces), agrees) in the order
+    given, where traces is a TraceBatch and agrees[i] says whether the
+    telescoped jump equals traces[i].jump: exactly for exact data, within
+    ORACLE_FLOAT_TOL of its scale for float data. Raises StencilOutOfRange,
+    before yielding anything, when an order does not fit the data.
     """
     orders = tuple(orders)
     if not orders:
@@ -117,7 +119,8 @@ def check_orders(field, orders):
     coords, data, approximate = float_entry(coords, data)
     table = level_table(coords, data, min(max(orders) + level, len(coords) - 1),
                         level)
-    for p in orders:
+    checked = {}
+    for p in sorted(set(orders)):
         traces = trace_columns(traces_of(field, p, table=table))
         # The oracle reads only the table, so it is given no source field.
         pairs = [(telescoped(None, left_sig, right_sig, index, p, table=table),
@@ -130,7 +133,9 @@ def check_orders(field, orders):
                       for tele, jump in pairs]
         else:
             agrees = [tele == jump for tele, jump in pairs]
-        yield p, traces, sign_report(traces), agrees
+        checked[p] = p, traces, sign_report(traces), agrees
+    for p in orders:
+        yield checked[p]
 
 
 # ---- Fuzzing ----
@@ -261,10 +266,7 @@ def _run_fuzz_trial(config, trial):
     reconstruction = config.kind == "reconstruction"
     room = len(coords) - 1 if reconstruction else len(coords)
     orders = [p for p in config.orders if room >= 2 * p]
-    # Every width is k/WIDTH_DENOMINATOR, so the coordinates in those units
-    # are integers; the bounds do not change under scaling.
-    ticks = [int(x * WIDTH_DENOMINATOR) for x in coords]
-    bounds = position_bounds(ticks, orders, config.kind)
+    bounds = position_bounds(coords, orders, config.kind)
     if not backend.exact:
         coords = [float(x) for x in coords]
         values = [float(v) for v in values]

@@ -165,12 +165,16 @@ class DividedDifferenceTable:
     the ordinates, or is None when the table starts from cell averages
     (see divided_difference_levels). Every window at every level is
     stored, which lets stencil-selection code probe left and right
-    extensions without recomputation.
+    extensions without recomputation. The ENO trace code keeps its
+    stage-wise selection and evaluation on the table, one state per kind,
+    so that a higher order resumes a lower one's; that state holds no
+    reference back to the table.
     """
 
     def __init__(self, points, levels):
         self.points = points
         self.levels = levels
+        self._eno_stages = {}
 
     @property
     def max_order(self):

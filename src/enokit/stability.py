@@ -12,7 +12,7 @@ be polluted by round-off in the bound itself.
 
 import operator
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 
 from .errors import StencilOutOfRange
 from .numerics import (
@@ -442,9 +442,10 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     """Aggregated jump bound at every admissible position, for each order.
 
     One stage-constant table, built up to the largest order, serves every
-    position and every order. Plain int coordinates stay ints, which keeps
-    the geometric products in integers; the bounds are invariant under
-    scaling the coordinates, so a mesh may be given in integer units.
+    position and every order. The bounds are invariant under scaling the
+    coordinates, so they are computed on the exact coordinates times the
+    least common multiple of their denominators: integers, which keep the
+    geometric products in integers.
 
     Args:
         mesh: Mesh, point-value field, or plain coordinate sequence.
@@ -461,7 +462,10 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     _check_kind(kind)
     if not orders:
         return {}
-    X = [x if type(x) is int else EXACT.convert(x) for x in _coordinates(mesh)]
+    X = [x if hasattr(x, "denominator") else EXACT.convert(x)
+         for x in _coordinates(mesh)]
+    scale = lcm(*(int(x.denominator) for x in X))
+    X = [int(x.numerator) * (scale // int(x.denominator)) for x in X]
     rows = _stage_rows(X, max(orders), _SHIFT[kind])
     at = _recon_bound_at if kind == "reconstruction" else _interp_bound_at
     bounds = {}

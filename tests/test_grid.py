@@ -145,3 +145,15 @@ def test_periodic_extension_wraps_past_one_period():
     field = CellAverageField(Mesh([0, 1, 2]), [1, 2])
     padded = periodic_extension(field, 3)
     assert padded.averages == (2, 1, 2, 1, 2, 1, 2, 1)
+
+
+def test_periodic_extensions_reject_bad_pads():
+    cells = CellAverageField(uniform_mesh(12), list(range(12)))
+    with pytest.raises(ValueError, match="pad"):
+        periodic_extension(cells, -2)
+    points = PointValueField([0, 1, 3, 4], [5, 6, 7, 5])
+    with pytest.raises(ValueError, match="pad"):
+        periodic_extension_points(points, -1)
+    with pytest.raises(ShapeError):
+        periodic_extension_points(PointValueField([2], [7]), 1)
+    assert periodic_extension(cells, 0).averages == cells.averages

@@ -237,3 +237,18 @@ def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
     sign_report(midpoint_traces(field, 6))
     assert built["InterfaceTrace"] == 0
     assert 0 < built["StencilSignature"] <= 32
+
+
+def test_a_shallow_table_is_a_value_error():
+    from enokit.numerics import level_table
+
+    field = PointValueField(range(12), [(-1) ** i for i in range(12)])
+    table = level_table(field.nodes, field.values, 1)
+    with pytest.raises(ValueError, match="depth 2"):
+        midpoint_traces(field, 3, table=table)
+    assert table._eno_stages == {}
+    with pytest.raises(ValueError, match="depth 2"):
+        select_signature_pointwise(field, 5, 3, table=table)
+    with pytest.raises(ValueError, match="depth 2"):
+        interpolant_at_node(field, 5, 3, table=table)
+    midpoint_traces(field, 2, table=table)

@@ -379,3 +379,95 @@ def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
     sign_report(interface_traces(field, 6))
     assert built["InterfaceTrace"] == 0
     assert 0 < built["StencilSignature"] <= 32
+
+
+def _shared_table_field(kind, scalar):
+    """A non-dyadic mesh with integer data, near-ties and steps."""
+    from enokit import PointValueField
+
+    rng = random.Random(f"shared:{kind}")
+    xs = [Fraction(0)]
+    for _ in range(26):
+        xs.append(xs[-1] + Fraction(rng.randint(1, 20), rng.choice((3, 7, 10))))
+    count = 26 if kind == "reconstruction" else 27
+    values = [v + Fraction(1, 10 ** 9) if i % 5 == 2 else v
+              for i, v in enumerate(random_int_values(rng, count))]
+    values[count // 2:] = [v + 4 for v in values[count // 2:]]
+    xs = [scalar(x) for x in xs]
+    values = [scalar(v) for v in values]
+    if kind == "reconstruction":
+        return CellAverageField(Mesh(xs), values), xs, values, 1
+    return PointValueField(xs, values), xs, values, 0
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_orders_sharing_a_table_match_fresh_calls(kind, scalar):
+    """Traces resumed on a shared table, in any order, equal a fresh
+    single-order call bit for bit; so do check_orders' verdicts and oracle
+    agreements, yielded in the order asked."""
+    from enokit import midpoint_traces
+    from enokit.harness import check_orders
+    from enokit.numerics import level_table
+
+    field, xs, values, level = _shared_table_field(kind, scalar)
+    traces_of = interface_traces if kind == "reconstruction" else midpoint_traces
+    fresh = {p: [repr(t) for t in traces_of(field, p)] for p in range(1, 7)}
+    for calls in ((6, 4, 3, 1, 1, 3, 4, 6), (1, 3, 4, 6, 6, 4, 3, 1)):
+        table = level_table(xs, values, 6 + level, level)
+        for p in calls:
+            assert [repr(t) for t in traces_of(field, p, table=table)] \
+                == fresh[p]
+    orders = (4, 1, 6, 1, 3)
+    checked = list(check_orders(field, orders))
+    assert [p for p, *_ in checked] == list(orders)
+    for p, traces, report, agrees in checked:
+        [(_, want, want_report, want_agrees)] = check_orders(field, (p,))
+        assert [repr(t) for t in traces] == [repr(t) for t in want] == fresh[p]
+        assert report == want_report == sign_report(traces_of(field, p))
+        assert agrees == want_agrees
+        assert all(agrees)
+
+
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_a_traced_table_needs_no_cycle_collector(kind):
+    """The stage-wise state kept on a table holds no reference back to it,
+    so the table is freed as soon as its last reference goes."""
+    import gc
+    import weakref
+
+    from enokit import midpoint_traces
+    from enokit.numerics import level_table
+
+    field, xs, values, level = _shared_table_field(kind, Fraction)
+    traces_of = interface_traces if kind == "reconstruction" else midpoint_traces
+    gc.disable()
+    try:
+        table = level_table(xs, values, 4 + level, level)
+        traces_of(field, 2, table=table)
+        traces_of(field, 4, table=table)
+        alive = weakref.ref(table)
+        del table
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_a_table_that_does_not_fit_is_a_typed_error():
+    from enokit import ShapeError
+    from enokit.numerics import level_table
+
+    field = CellAverageField(uniform_mesh(12), [(-1) ** i for i in range(12)])
+    table = level_table(field.mesh.interfaces, field.averages, 2, order=1)
+    with pytest.raises(ValueError, match="depth 3"):
+        interface_traces(field, 3, table=table)
+    assert table._eno_stages == {}
+    prim = primitive_from_averages(field)
+    with pytest.raises(ValueError, match="depth 3"):
+        select_signature(prim, 5, 3, table=table)
+    with pytest.raises(ValueError, match="depth 3"):
+        newton_interpolant(prim, StencilSignature((0, 0, 0)), 5, table=table)
+    interface_traces(field, 2, table=table)
+    with pytest.raises(ShapeError):
+        interface_traces(CellAverageField(uniform_mesh(10), [0] * 10), 2,
+                         table=table)

@@ -203,19 +203,21 @@ def test_telescoped_identity_for_every_signature_pair(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_telescoped_interpolation_identity_for_every_pair(p):
-    from enokit.eno_reconstruction import NODE, _stage_values
-    from enokit import PointSignature, divided_difference_table
+    from enokit import PointSignature
+    from enokit.harness import lagrange_oracle
     from enokit.numerics import halfway
 
     def value_at(node, offsets, x):
-        stages = [[node + k] for k in offsets]
-        return _stage_values(table, stages, [x], [None], NODE)[0]
+        # The interpolant over the final stencil's nodes, evaluated
+        # without divided differences.
+        first = node + offsets[-1]
+        return lagrange_oracle(xs[first:first + p],
+                               field.values[first:first + p], x)
 
     rng = random.Random(14)
     n = 2 * p + 5
     xs = random_fraction_mesh(rng, n)
     field = PointValueField(xs, random_int_values(rng, n))
-    table = divided_difference_table(field.nodes, field.values)
     nu = n // 2
     xm = halfway(xs[nu], xs[nu + 1])
     for offs_left in _all_offset_tuples(p):
