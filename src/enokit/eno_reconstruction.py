@@ -19,10 +19,12 @@ from itertools import islice, repeat
 
 from .errors import ShapeError, StencilOutOfRange
 from .numerics import (
+    check_depth,
     divided_difference_table,
     float_entry,
-    level_table,
+    promote_integers,
     quotient,
+    trace_table,
 )
 from .stability import TraceBatch
 
@@ -80,16 +82,6 @@ def _check_window(npts, anchor, p, shift):
         )
 
 
-def _check_depth(table, p, shift):
-    """Raise unless the table holds every level an order-p stencil reads."""
-    need = p - 1 + shift
-    if table.max_order < need:
-        raise ValueError(
-            f"order {p} needs a divided-difference table of depth {need}; "
-            f"this one has depth {table.max_order}"
-        )
-
-
 def _select(level, left):
     """One stage of stencil selection, for every anchor at once.
 
@@ -105,7 +97,7 @@ def _select(level, left):
 
 def _anchor_signature(table, anchor, p, shift):
     """The order-p StencilSignature of one anchor, one _select per stage."""
-    _check_depth(table, p, shift)
+    check_depth(table, p, p - 1 + shift)
     left = [anchor]
     offsets = [0]
     for j in range(1, p):
@@ -144,14 +136,27 @@ def _shifted(column, k):
     return islice(column, k, None) if k else column
 
 
+def _breakpoints(points, shift):
+    """The breakpoints between anchors on points: the points themselves
+    for cells, the midpoints for nodes. ints, which are grid_integers,
+    halve exactly."""
+    if shift == CELL:
+        return points
+    if type(points[0]) is int:
+        return [(a + b) // 2 for a, b in zip(points, points[1:])]
+    return [(a + b) / 2 for a, b in zip(points, points[1:])]
+
+
 class _Stages:
     """Stage-wise ENO selection and evaluation over one table, for one kind.
 
     With n cells (shift = CELL) or nodes (shift = NODE) on the table,
     breakpoint b lies between anchors b and b+1, b = 0..n-2; its index is
     b + shift: interface b+1, or the midpoint right of node b. at[i] is
-    the location of the breakpoint with index i: the table's own points,
-    or the midpoints.
+    the point the traces of the breakpoint with index i are evaluated at,
+    on the table's points, and location[i] the same point in the field's
+    coordinates. They differ when the table is on grid_integers, whose
+    midpoints halve exactly; otherwise they are one list.
 
     The state covers the order of the stage it has reached, j =
     len(lefts): lefts[i-1][a] is the leftmost point of the stage-i
@@ -166,13 +171,12 @@ class _Stages:
     change. Nothing here refers back to the table.
     """
 
-    def __init__(self, table, shift):
+    def __init__(self, table, coords, shift):
         X = table.points
         n = len(X) - shift
-        if shift == CELL:
-            self.at = X
-        else:
-            self.at = [(a + b) / 2 for a, b in zip(X, X[1:])]
+        self.at = _breakpoints(X, shift)
+        self.location = (_breakpoints(promote_integers(coords), shift)
+                         if type(X[0]) is int else self.at)
         first = table.levels[shift]
         self.lefts = [list(range(n))]
         self.sums = [list(first[:n - 1]), list(first[1:n])]
@@ -229,19 +233,20 @@ class _Stages:
                     _shifted(lefts[j], k))]
 
 
-def _stages(table, p, shift):
+def _stages(table, coords, p, shift):
     """The table's stage-wise state of this kind, grown to stage p.
 
     A table keeps one state per kind and later orders resume it. An order
     below the stage it has reached starts again from stage 1 on a state
-    that is not stored.
+    that is not stored. `coords` are the field's coordinates, which the
+    state reports as the breakpoints' locations.
     """
-    _check_depth(table, p, shift)
+    check_depth(table, p, p - 1 + shift)
     state = table._eno_stages.get(shift)
     if state is None:
-        state = table._eno_stages[shift] = _Stages(table, shift)
+        state = table._eno_stages[shift] = _Stages(table, coords, shift)
     elif len(state.lefts) > p:
-        state = _Stages(table, shift)
+        state = _Stages(table, coords, shift)
     state.grow(table, p, shift)
     return state
 
@@ -258,16 +263,16 @@ def _traces(coords, data, p, table, shift):
             f"{'cells' if shift == CELL else 'nodes'}; have {n}")
     X, data, approximate = float_entry(coords, data)
     if table is None:
-        table = level_table(X, data, p - 1 + shift, order=shift)
+        table = trace_table(X, data, p - 1 + shift, order=shift)
     elif len(table.points) != len(X):
         raise ShapeError(
             f"a table over {len(table.points)} points for data over {len(X)}")
-    state = _stages(table, p, shift)
+    state = _stages(table, X, p, shift)
     signatures = _signatures(state.lefts)
     left, right = state.sums
     return TraceBatch(
         range(p - 1 + shift, n - p + shift),
-        state.at[p - 1 + shift:n - p + shift],
+        state.location[p - 1 + shift:n - p + shift],
         left,
         right,
         [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
@@ -381,7 +386,7 @@ def newton_interpolant(primitive, signature, cell, table=None):
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
-    _check_depth(table, p, CELL)
+    check_depth(table, p, p)
     X = table.points
     levels = table.levels
     points = [X[cell]]

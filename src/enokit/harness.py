@@ -24,8 +24,8 @@ from .numerics import (
     float_entry,
     get_backend,
     is_float_data,
-    level_table,
     promote_integers,
+    trace_table,
 )
 from .stability import (
     position_bounds,
@@ -98,7 +98,8 @@ def check_orders(field, orders):
     """Traces, sign verdicts and telescoped-oracle agreement, order by order.
 
     A CellAverageField is reconstructed, a PointValueField interpolated;
-    one divided-difference table serves every order, trace and oracle.
+    one divided-difference table serves every order, trace and oracle,
+    over the coordinates' grid_integers when they have them.
     The distinct orders are traced in ascending order, so each resumes the
     stage-wise selection and evaluation the previous one left on the
     table. Yields (p, traces, sign_report(traces), agrees) in the order
@@ -117,7 +118,7 @@ def check_orders(field, orders):
         coords, data, level = field.nodes, field.values, 0
         traces_of, telescoped = midpoint_traces, telescoped_jump_interpolation
     coords, data, approximate = float_entry(coords, data)
-    table = level_table(coords, data, min(max(orders) + level, len(coords) - 1),
+    table = trace_table(coords, data, min(max(orders) + level, len(coords) - 1),
                         level)
     checked = {}
     for p in sorted(set(orders)):

@@ -140,19 +140,57 @@ def promote_integers(values):
 
 
 def quotient(a, b):
-    """a / b: binary64 when either is a float, else exact."""
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
-    pa, pb = promote_integers([a, b])
-    return pa / pb
+    """a / b: binary64 when either is a float, else exact.
+
+    Only an int over an int needs a rational made for it; every other pair
+    divides as it is.
+    """
+    if type(a) is int and type(b) is int:
+        return EXACT.convert(a) / b
+    return a / b
 
 
 def halfway(a, b):
     """Midpoint of a and b: binary64 when either is a float, else exact."""
-    if isinstance(a, float) or isinstance(b, float):
-        return (a + b) / 2
-    pa, pb = promote_integers([a, b])
-    return (pa + pb) / 2
+    if type(a) is int and type(b) is int:
+        return EXACT.convert(a + b) / 2
+    return (a + b) / 2
+
+
+def grid_integers(points):
+    """Exact points as ints on the grid of their gaps, or None.
+
+    When the denominator of every gap between consecutive points divides
+    the largest one, D, every point lies on one grid of step 1/D from the
+    first: fuzz ticks, decimals, ints and floats read exactly do. The
+    points then come back as ints, (x - points[0]) * 2D, so the midpoint
+    of two of them is an int too, (a + b) // 2. Divided differences,
+    stencil choices and trace values are the same rationals on a shifted
+    and rescaled mesh, once the divided differences are taken over the
+    new points. Other meshes, and floats, give None: one grid for gaps
+    with unrelated denominators would only make every product larger.
+    """
+    if is_float_data(points):
+        return None
+    gaps = [b - a for a, b in zip(points, points[1:])]
+    dens = [int(g.denominator) for g in gaps]
+    top = max(dens, default=1)
+    if any(top % d for d in dens):
+        return None
+    ints = [0]
+    for g, d in zip(gaps, dens):
+        ints.append(ints[-1] + int(g.numerator) * (2 * top // d))
+    return ints
+
+
+def check_depth(table, p, depth):
+    """Raise ValueError unless the table reaches level `depth`, which
+    order p reads."""
+    if table.max_order < depth:
+        raise ValueError(
+            f"order {p} needs a divided-difference table of depth {depth}; "
+            f"this one has depth {table.max_order}"
+        )
 
 
 # ---- Divided differences ----
@@ -168,7 +206,9 @@ class DividedDifferenceTable:
     extensions without recomputation. The ENO trace code keeps its
     stage-wise selection and evaluation on the table, one state per kind,
     so that a higher order resumes a lower one's; that state holds no
-    reference back to the table.
+    reference back to the table. Points that are all ints are the field's
+    coordinates on their grid (see grid_integers and trace_table): the
+    trace code evaluates on them and reports the field's own coordinates.
     """
 
     def __init__(self, points, levels):
@@ -224,8 +264,9 @@ def divided_difference_levels(points, values, max_order, order=0):
     `values` is level `order`: point values are order 0; cell averages are
     order 1, the primitive's first divided differences over the cells
     between the points, and level 0 is then None. The points must already
-    be strictly increasing, at least max_order+1 of them, and free of
-    plain ints in exact data (see promote_integers).
+    be strictly increasing and at least max_order+1 of them; in exact
+    data the values must be free of plain ints (see promote_integers), and
+    so must the points unless they are all ints (see grid_integers).
     """
     levels = [None] * order + [values]
     n = len(points)
@@ -244,3 +285,18 @@ def level_table(points, values, max_order, order=0):
     points = promote_integers(points)
     return DividedDifferenceTable(points, divided_difference_levels(
         points, promote_integers(values), max_order, order))
+
+
+def trace_table(points, values, max_order, order=0):
+    """The table the trace and check code builds for itself.
+
+    Exact points whose gaps lie on one grid become their grid_integers,
+    which keep every product of coordinate differences an int; any other
+    points go to level_table. The divided differences are taken over the
+    points the table holds, so both give the same stencils and traces.
+    """
+    ints = grid_integers(points)
+    if ints is None:
+        return level_table(points, values, max_order, order)
+    return DividedDifferenceTable(ints, divided_difference_levels(
+        ints, promote_integers(values), max_order, order))

@@ -12,11 +12,12 @@ be polluted by round-off in the bound itself.
 
 import operator
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import StencilOutOfRange
 from .numerics import (
     EXACT,
+    check_depth,
     divided_difference_table,
     halfway,
     is_float_data,
@@ -211,6 +212,7 @@ def telescoped_terms_reconstruction(primitive, left_signature, right_signature,
     if table is None:
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p + 1)
+    check_depth(table, p, p + 1)
     X = table.points
     lo = (interface - 1) + _offsets(left_signature)[-1]
     hi = interface + _offsets(right_signature)[-1] - 1
@@ -253,12 +255,15 @@ def telescoped_terms_interpolation(field, left_signature, right_signature,
 
     Each summand is an order-p divided difference of the values times its
     geometric factor; `midpoint` is the index of the node to the left of
-    the evaluation point.
+    the evaluation point. On a table over grid_integers the midpoint is
+    an int.
     """
     if table is None:
         table = divided_difference_table(field.nodes, field.values, max_order=p)
+    check_depth(table, p, p)
     X = table.points
-    xm = halfway(X[midpoint], X[midpoint + 1])
+    x0, x1 = X[midpoint], X[midpoint + 1]
+    xm = (x0 + x1) // 2 if type(x0) is int else halfway(x0, x1)
     lo = midpoint + _offsets(left_signature)[-1]
     hi = midpoint + _offsets(right_signature)[-1]
     sign = 1
@@ -332,58 +337,64 @@ def _recursive_constants(X, anchor, p, shift):
 
 
 def _stage_rows(X, pmax, shift):
-    """Stage constants of every window on the mesh, up to stage `pmax`.
+    """Stage constants of every window on integer coordinates, up to stage
+    `pmax`, as integer denominators.
 
     The entries of `_recursive_constants` depend only on the absolute
     start s = anchor + k and the stage j, so one table serves every
-    position and every order up to `pmax`: rows[1][s] = 1 and
-    rows[j+1][s] = 2 / (X[s+j+1] - X[s+shift]) * max(rows[j][s], rows[j][s+1]).
-    Entries whose window leaves the coordinates are None.
+    position and every order up to `pmax`. The stage-j constant of start
+    s is 2**(j-1) / rows[j][s], with rows[1][s] = 1 and
+    rows[j+1][s] = (X[s+j+1] - X[s+shift]) * min(rows[j][s], rows[j][s+1]),
+    which is the recursion 2 / den * max(...) of `_recursive_constants`
+    with no rational made. Entries whose window leaves the coordinates are
+    None.
     """
-    one = EXACT.convert(1)
-    two = EXACT.convert(2)
-    rows = [None, [one] * len(X)]
+    rows = [None, [1] * len(X)]
     for j in range(1, pmax):
         prev = rows[j]
         row = [None] * len(X)
         for s in range(max(0, -shift), len(X) - j - 1):
-            den = X[s + j + 1] - X[s + shift]
-            row[s] = two / den * max(prev[s], prev[s + 1])
+            row[s] = (X[s + j + 1] - X[s + shift]) * min(prev[s], prev[s + 1])
         rows.append(row)
     return rows
 
 
-def _recon_bound_at(X, iota, p, constants):
-    """Aggregated bound at interface `iota` from the order-p constants of
-    the offsets -p+1..0. Exact for int or rational coordinates."""
-    total = EXACT.convert(0)
-    for k, c in zip(range(-p + 1, 1), constants):
+def _recon_factors(X, iota, p):
+    """Geometric factors of the reconstruction bound at interface `iota`.
+
+    Returns the absolute factor of each offset -p+1..0 and the divisor of
+    their weighted sum; ints on int coordinates.
+    """
+    factors = []
+    for k in range(-p + 1, 1):
         prod = 1
         for m in range(p):
             if k + m != 0:
                 prod = prod * (X[iota] - X[iota + k + m])
-        total = total + c * abs((X[iota + k + p] - X[iota + k - 1]) * prod)
-    return total / (X[iota + 1] - X[iota - 1])
+        factors.append(abs((X[iota + k + p] - X[iota + k - 1]) * prod))
+    return factors, X[iota + 1] - X[iota - 1]
 
 
-def _interp_bound_at(X, nu, p, constants):
-    """Aggregated bound at the midpoint right of node `nu`.
+def _interp_factors(X, nu, p):
+    """Geometric factors of the interpolation bound at the midpoint right
+    of node `nu`, as _recon_factors.
 
     The midpoint factors are taken doubled, (X[nu] + X[nu+1] - 2 X[.]),
-    and the 2**(p-1) is divided out at the end, so integer coordinates
-    keep integer products.
+    and the 2**(p-1) goes into the divisor, so integer coordinates keep
+    integer factors.
     """
     twice_xm = X[nu] + X[nu + 1]
-    total = EXACT.convert(0)
-    for r, c in zip(range(-p + 1, 1), constants):
+    factors = []
+    for r in range(-p + 1, 1):
         prod = 1
         for m in range(1, p):
             prod = prod * (twice_xm - 2 * X[nu + r + m])
-        total = total + c * abs((X[nu + r + p] - X[nu + r]) * prod)
-    return total / (2 ** (p - 1) * (X[nu + 1] - X[nu]))
+        factors.append(abs((X[nu + r + p] - X[nu + r]) * prod))
+    return factors, 2 ** (p - 1) * (X[nu + 1] - X[nu])
 
 
 _SHIFT = {"reconstruction": -1, "interpolation": 0}
+_FACTORS = {"reconstruction": _recon_factors, "interpolation": _interp_factors}
 
 
 def _check_kind(kind):
@@ -434,8 +445,11 @@ def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
         )
     C = _recursive_constants(X, position, p, _SHIFT[kind])
     constants = tuple(C[(k, p)] for k in range(-p + 1, 1))
-    at = _recon_bound_at if kind == "reconstruction" else _interp_bound_at
-    return BoundTable(kind, p, position, constants, at(X, position, p, constants))
+    factors, divisor = _FACTORS[kind](X, position, p)
+    total = EXACT.convert(0)
+    for c, f in zip(constants, factors):
+        total = total + c * f
+    return BoundTable(kind, p, position, constants, total / divisor)
 
 
 def position_bounds(mesh, orders, kind="reconstruction"):
@@ -445,7 +459,8 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     position and every order. The bounds are invariant under scaling the
     coordinates, so they are computed on the exact coordinates times the
     least common multiple of their denominators: integers, which keep the
-    geometric products in integers.
+    geometric factors and the stage constants' denominators in integers.
+    Each bound is summed over a common denominator and made one rational.
 
     Args:
         mesh: Mesh, point-value field, or plain coordinate sequence.
@@ -467,15 +482,22 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     scale = lcm(*(int(x.denominator) for x in X))
     X = [int(x.numerator) * (scale // int(x.denominator)) for x in X]
     rows = _stage_rows(X, max(orders), _SHIFT[kind])
-    at = _recon_bound_at if kind == "reconstruction" else _interp_bound_at
+    factors_at = _FACTORS[kind]
     bounds = {}
     for p in orders:
         lo, hi = _valid_positions(kind, p, len(X) - 1)
         row = rows[p]
-        bounds[p] = {
-            pos: at(X, pos, p, row[pos - p + 1:pos + 1])
-            for pos in range(lo, hi + 1)
-        }
+        power = 2 ** (p - 1)
+        bounds[p] = at_p = {}
+        for pos in range(lo, hi + 1):
+            factors, divisor = factors_at(X, pos, p)
+            # sum of f / d over the offsets, as num / den with den the
+            # least common multiple of the d
+            num, den = 0, 1
+            for f, d in zip(factors, row[pos - p + 1:pos + 1]):
+                g = gcd(den, d)
+                num, den = num * (d // g) + f * (den // g), den * (d // g)
+            at_p[pos] = EXACT.convert(power * num) / (den * divisor)
     return bounds
 
 

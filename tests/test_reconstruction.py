@@ -471,3 +471,103 @@ def test_a_table_that_does_not_fit_is_a_typed_error():
     with pytest.raises(ShapeError):
         interface_traces(CellAverageField(uniform_mesh(10), [0] * 10), 2,
                          table=table)
+
+
+def _grid_meshes(n):
+    """Meshes of n cells: four whose gaps lie on one grid (1/65536 ticks,
+    three-place decimals, ints, dyadic floats read exactly) and one whose
+    gap denominators 3, 7, 10, 13 and 64 share none."""
+    from enokit.numerics import EXACT
+
+    rng = random.Random(f"grid:{n}")
+    meshes = {"ticks": random_fraction_mesh(rng, n + 1, start=Fraction(1, 3))}
+    for name, step in (("decimals", lambda: Fraction(rng.randint(1, 2000), 1000)),
+                       ("ints", lambda: rng.randint(1, 5)),
+                       ("dyadic", lambda: rng.choice((0.5, 0.25, 1.0, 1.375))),
+                       ("off-grid", lambda: Fraction(
+                           rng.randint(1, 40), rng.choice((3, 7, 10, 13, 64))))):
+        xs = [step() * 0]
+        for _ in range(n):
+            xs.append(xs[-1] + step())
+        meshes[name] = xs
+    meshes["dyadic"] = [EXACT.convert(x) for x in meshes["dyadic"]]
+    return meshes
+
+
+def test_grid_integers():
+    from enokit.numerics import grid_integers
+
+    assert grid_integers([Fraction(1, 3), Fraction(5, 6), Fraction(4, 3),
+                          Fraction(7, 3)]) \
+        == [0, 2, 4, 8]
+    assert grid_integers([2, 3, 7]) == [0, 2, 10]
+    assert grid_integers([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                          Fraction(3, 4)]) is None
+    assert grid_integers([0.0, 0.5, 1.0]) is None
+    for name, xs in _grid_meshes(20).items():
+        ints = grid_integers(xs)
+        assert (ints is None) == (name == "off-grid")
+        if ints is not None:
+            assert all(type(x) is int for x in ints)
+            scale = Fraction(ints[1], 1) / (xs[1] - xs[0])
+            assert all(i == (x - xs[0]) * scale for i, x in zip(ints, xs))
+
+
+@pytest.mark.parametrize("mesh", ["ticks", "decimals", "ints", "dyadic",
+                                  "off-grid"])
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
+    """Traces and checks on a table of their own, over grid_integers on a
+    grid mesh, equal those on a caller-given level_table in the field's
+    coordinates: the repr of every trace, the values and types of the
+    locations, the sign reports and the oracle agreements."""
+    from enokit import PointValueField, harness, midpoint_traces
+    from enokit import eno_reconstruction
+    from enokit.numerics import level_table, trace_table
+    from enokit.stability import (
+        telescoped_jump_interpolation,
+        telescoped_jump_reconstruction,
+    )
+
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(trace_table(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(eno_reconstruction, "trace_table", recording)
+    monkeypatch.setattr(harness, "trace_table", recording)
+    xs = _grid_meshes(26)[mesh]
+    rng = random.Random(f"{kind}:{mesh}")
+    count = 26 if kind == "reconstruction" else 27
+    values = [v + Fraction(1, 10 ** 9) if i % 5 == 2 else v
+              for i, v in enumerate(random_int_values(rng, count))]
+    values[count // 2:] = [v + 4 for v in values[count // 2:]]
+    if kind == "reconstruction":
+        field, level = CellAverageField(Mesh(xs), values), 1
+        traces_of, telescoped = interface_traces, telescoped_jump_reconstruction
+    else:
+        field, level = PointValueField(xs, values), 0
+        traces_of, telescoped = midpoint_traces, telescoped_jump_interpolation
+    given = level_table(xs, values, 6 + level, level)
+    want = {p: traces_of(field, p, table=given) for p in range(1, 7)}
+    for p in range(1, 7):
+        got = traces_of(field, p)
+        assert [repr(t) for t in got] == [repr(t) for t in want[p]]
+        assert [type(x) for x in got.location] \
+            == [type(x) for x in want[p].location]
+        assert sign_report(got) == sign_report(want[p])
+    checked = list(harness.check_orders(field, (4, 1, 6, 1, 3)))
+    assert [p for p, *_ in checked] == [4, 1, 6, 1, 3]
+    for p, traces, report, agrees in checked:
+        assert [repr(t) for t in traces] == [repr(t) for t in want[p]]
+        assert report == sign_report(want[p])
+        assert agrees == [
+            telescoped(None, t.left_signature, t.right_signature, t.index, p,
+                       table=given) == t.jump
+            for t in want[p]]
+        assert all(agrees)
+    assert len(built) == 7
+    on_grid = mesh != "off-grid"
+    assert all((type(x) is int) == on_grid
+               for table in built for x in table.points)

@@ -238,6 +238,32 @@ def test_telescoped_window_check():
         telescoped_terms_reconstruction(prim, (0, -1), (0, -1), 1, 2)
 
 
+def test_a_shallow_oracle_table_is_a_value_error():
+    """The oracles read level p+1 (reconstruction) or p (interpolation)
+    of their table; one level less is a ValueError naming that depth."""
+    from enokit.numerics import level_table
+
+    cells = CellAverageField(uniform_mesh(12), [(-1) ** i for i in range(12)])
+    xs, avgs = cells.mesh.interfaces, cells.averages
+    left, right = (0, -1, -2), (0, 0, 0)
+    with pytest.raises(ValueError, match="order 3 needs .* depth 4"):
+        telescoped_jump_reconstruction(
+            None, left, right, 6, 3, table=level_table(xs, avgs, 3, order=1))
+    jump = telescoped_jump_reconstruction(
+        None, left, right, 6, 3, table=level_table(xs, avgs, 4, order=1))
+    assert jump == telescoped_jump_reconstruction(
+        primitive_from_averages(cells), left, right, 6, 3)
+
+    points = PointValueField(range(12), [(-1) ** i for i in range(12)])
+    nodes, values = points.nodes, points.values
+    with pytest.raises(ValueError, match="order 3 needs .* depth 3"):
+        telescoped_jump_interpolation(
+            None, left, right, 5, 3, table=level_table(nodes, values, 2))
+    jump = telescoped_jump_interpolation(
+        None, left, right, 5, 3, table=level_table(nodes, values, 3))
+    assert jump == telescoped_jump_interpolation(points, left, right, 5, 3)
+
+
 def test_uniform_closed_forms():
     assert [uniform_bound_Cp(p) for p in range(1, 7)] == T1
     assert [uniform_bound_cp(p) for p in range(1, 7)] == T2
@@ -284,10 +310,21 @@ def _table_meshes():
     return meshes
 
 
+def _coprime_mesh(count):
+    """k + a/q with a distinct prime q at every point: no two coordinates
+    share a denominator, so their common one is the product of all."""
+    rng = random.Random(5)
+    primes = [q for q in range(3, 200) if all(q % d for d in range(2, q))]
+    return [k + Fraction(rng.randint(1, q - 1), q)
+            for k, q in zip(range(count), rng.sample(primes, count))]
+
+
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
 def test_position_bounds_equal_the_per_position_reference(kind):
-    """One table per mesh gives the reference bound, value and type."""
-    for xs in _table_meshes():
+    """One table per mesh gives the reference bound, value and type, also
+    on small ints and on coordinates with pairwise coprime denominators."""
+    ints = [0, 1, 3, 4, 7, 8, 9, 13, 15, 16, 21, 22, 24, 25, 30]
+    for xs in _table_meshes() + [ints, _coprime_mesh(15)]:
         table = position_bounds(xs, range(1, 7), kind)
         assert sorted(table) == list(range(1, 7))
         for p in range(1, 7):
