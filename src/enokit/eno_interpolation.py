@@ -8,10 +8,10 @@ node is evaluated one-sided at the midpoints between nodes.
 
 from .eno_reconstruction import (
     NODE,
-    NewtonPolynomial,
     StencilSignature,
     _anchor_signature,
     _check_window,
+    _newton_form,
     _traces,
 )
 from .numerics import divided_difference_table
@@ -57,17 +57,8 @@ def interpolant_at_node(field, node, p, table=None):
         table = divided_difference_table(field.nodes, field.values,
                                          max_order=p - 1)
     signature = select_signature_pointwise(field, node, p, table=table)
-    X = table.points
-    levels = table.levels
-    points = [X[node]]
-    coefficients = [levels[0][node]]
-    prev = 0
-    for j in range(2, p + 1):
-        m = signature.offsets[j - 1]
-        coefficients.append(levels[j - 1][node + m])
-        points.append(X[node + m + j - 1] if m == prev else X[node + m])
-        prev = m
-    return NewtonPolynomial(tuple(points), tuple(coefficients))
+    return _newton_form(table, node, signature.offsets, NODE,
+                        table.levels[0][node])
 
 
 def midpoint_traces(field, p, table=None):

@@ -19,6 +19,8 @@ from itertools import islice, repeat
 
 from .errors import ShapeError, StencilOutOfRange
 from .numerics import (
+    CELL,
+    NODE,
     check_depth,
     divided_difference_table,
     float_entry,
@@ -61,12 +63,6 @@ class StencilSignature:
 
     def __str__(self):
         return ",".join(str(k) for k in self.offsets)
-
-
-# Shift of the levels that decide each stage: a cell's stage-j stencil
-# holds j+1 interfaces of the primitive, a node's holds j nodes.
-CELL = 1
-NODE = 0
 
 
 def _check_window(npts, anchor, p, shift):
@@ -347,6 +343,23 @@ class CellPolynomial:
         return self.antiderivative.derivative_value(x)
 
 
+def _newton_form(table, anchor, offsets, shift, constant):
+    """Newton form over an anchor's final stencil, points in the order the
+    stages brought them in: stage s reads level s at offset offsets[s-shift].
+    `constant` is the level-0 coefficient, at the anchor."""
+    X = table.points
+    levels = table.levels
+    points = [X[anchor]]
+    coefficients = [constant]
+    prev = 0
+    for s in range(1, len(offsets) + shift):
+        off = offsets[s - shift]
+        coefficients.append(levels[s][anchor + off])
+        points.append(X[anchor + off + s] if off == prev else X[anchor + off])
+        prev = off
+    return NewtonPolynomial(tuple(points), tuple(coefficients))
+
+
 def select_signature(primitive, cell, p, table=None):
     """Grow the cell's stencil one point per stage over the primitive.
 
@@ -387,18 +400,9 @@ def newton_interpolant(primitive, signature, cell, table=None):
         table = divided_difference_table(primitive.nodes, primitive.values,
                                          max_order=p)
     check_depth(table, p, p)
-    X = table.points
-    levels = table.levels
-    points = [X[cell]]
-    coefficients = [primitive.values[cell] if levels[0] is None
-                    else levels[0][cell]]
-    prev = 0
-    for j in range(1, p + 1):
-        k = signature.offsets[j - 1]
-        coefficients.append(levels[j][cell + k])
-        points.append(X[cell + k + j] if k == prev else X[cell + k])
-        prev = k
-    return NewtonPolynomial(tuple(points), tuple(coefficients))
+    constant = (primitive.values[cell] if table.levels[0] is None
+                else table.levels[0][cell])
+    return _newton_form(table, cell, signature.offsets, CELL, constant)
 
 
 def reconstruct_cell(primitive, cell, p, table=None):

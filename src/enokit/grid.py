@@ -7,35 +7,13 @@ divided-difference tables from the averages, so it builds no primitive; the
 per-cell API (select_signature, reconstruct_cell, ...) still takes one.
 """
 
-from math import isfinite
-
-from .errors import InvalidMesh, NonFiniteValue, ShapeError
-from .numerics import is_float_data, promote_integers
-
-
-def _check_finite(values, what, indices=None):
-    """Reject NaN and +-inf among the float entries of values."""
-    for k in range(len(values)) if indices is None else indices:
-        v = values[k]
-        if isinstance(v, float) and not isfinite(v):
-            raise NonFiniteValue(f"{what} {k} is {v!r}")
-
-
-def _check_increasing(coords, what):
-    """Strictly increasing coordinates with finite ends.
-
-    NaN fails every comparison and an infinity can only sit at an end of a
-    strictly increasing sequence, so checking the ends and any failed
-    comparison covers every entry.
-    """
-    for k in range(len(coords) - 1):
-        if not coords[k] < coords[k + 1]:
-            _check_finite(coords, what, (k, k + 1))
-            raise InvalidMesh(
-                f"{what}s must be strictly increasing; offender at index {k + 1}"
-            )
-    if coords:
-        _check_finite(coords, what, (0, len(coords) - 1))
+from .errors import InvalidMesh, ShapeError
+from .numerics import (
+    check_finite,
+    check_increasing,
+    is_float_data,
+    promote_integers,
+)
 
 
 class Mesh:
@@ -50,7 +28,7 @@ class Mesh:
         interfaces = tuple(interfaces)
         if len(interfaces) < 2:
             raise InvalidMesh("a mesh needs at least two interfaces")
-        _check_increasing(interfaces, "interface")
+        check_increasing(interfaces, "interface")
         self.interfaces = interfaces
 
     @property
@@ -81,7 +59,7 @@ class CellAverageField:
             raise ShapeError(
                 f"{len(averages)} averages for a mesh of {mesh.ncells} cells"
             )
-        _check_finite(averages, "average")
+        check_finite(averages, "average")
         self.mesh = mesh
         self.averages = averages
 
@@ -94,8 +72,8 @@ class PointValueField:
         values = tuple(values)
         if len(nodes) != len(values):
             raise ShapeError(f"{len(nodes)} nodes but {len(values)} values")
-        _check_increasing(nodes, "node")
-        _check_finite(values, "value")
+        check_increasing(nodes, "node")
+        check_finite(values, "value")
         self.nodes = nodes
         self.values = values
 
@@ -177,6 +155,26 @@ def first_dd_is_average(primitive, field, rel_tol=1e-12):
 
 # ---- Periodic extension ----
 
+def _periodic_coordinates(coords, pad):
+    """coords with pad gaps wrapped onto each side, the gaps repeating with
+    period len(coords) - 1, stepping back from coords[0] and accumulating."""
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0; got {pad}")
+    n = len(coords) - 1
+    if n < 1:
+        raise ShapeError(
+            f"a periodic extension needs at least 2 nodes; have {n + 1}")
+    gaps = [coords[i + 1] - coords[i] for i in range(n)]
+    wrapped = [gaps[i % n] for i in range(-pad, n + pad)]
+    x0 = coords[0]
+    for g in reversed(wrapped[:pad]):
+        x0 = x0 - g
+    extended = [x0]
+    for g in wrapped:
+        extended.append(extended[-1] + g)
+    return extended
+
+
 def periodic_extension(field, pad):
     """Extend a cell-average field by wrapping pad cells onto each side.
 
@@ -186,20 +184,10 @@ def periodic_extension(field, pad):
     Raises:
         ValueError: pad < 0.
     """
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0; got {pad}")
-    X = field.mesh.interfaces
+    interfaces = _periodic_coordinates(field.mesh.interfaces, pad)
     n = field.mesh.ncells
-    widths = [X[i + 1] - X[i] for i in range(n)]
-    idx = [i % n for i in range(-pad, n + pad)]
-    wrapped = [widths[i] for i in idx]
-    x0 = X[0]
-    for i in range(pad):
-        x0 = x0 - wrapped[pad - 1 - i]
-    interfaces = [x0]
-    for w in wrapped:
-        interfaces.append(interfaces[-1] + w)
-    return CellAverageField(Mesh(interfaces), [field.averages[i] for i in idx])
+    return CellAverageField(Mesh(interfaces), [
+        field.averages[i % n] for i in range(-pad, n + pad)])
 
 
 def periodic_extension_points(field, pad):
@@ -213,22 +201,8 @@ def periodic_extension_points(field, pad):
         ValueError: pad < 0.
         ShapeError: fewer than two nodes, which leave no period.
     """
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0; got {pad}")
-    xs = field.nodes
-    n = len(xs)
-    if n < 2:
-        raise ShapeError(
-            f"a periodic extension needs at least 2 nodes; have {n}")
-    gaps = [xs[i + 1] - xs[i] for i in range(n - 1)]
-    gap_idx = [i % (n - 1) for i in range(-pad, n - 1 + pad)]
-    wrapped = [gaps[i] for i in gap_idx]
-    x0 = xs[0]
-    for i in range(pad):
-        x0 = x0 - wrapped[pad - 1 - i]
-    nodes = [x0]
-    for g in wrapped:
-        nodes.append(nodes[-1] + g)
+    nodes = _periodic_coordinates(field.nodes, pad)
+    n = len(field.nodes)
     values = [
         field.values[i] if 0 <= i < n else field.values[i % (n - 1)]
         for i in range(-pad, n + pad)

@@ -256,10 +256,6 @@ def _trial_inputs(config, trial):
     return coords, _trial_values(rng, count, config.distribution)
 
 
-def _serialize_all(backend, values):
-    return [backend.serialize(v) for v in values]
-
-
 def _run_fuzz_trial(config, trial):
     """Evaluate one trial; returns a JSON-safe, order-independent payload."""
     backend = get_backend(config.backend)
@@ -275,6 +271,8 @@ def _run_fuzz_trial(config, trial):
         field = CellAverageField(Mesh(coords), values)
     else:
         field = PointValueField(coords, values)
+    coordinates = [backend.serialize(x) for x in coords]
+    data = [backend.serialize(v) for v in values]
     payload = {
         "interfaces": 0,
         "violations": 0,
@@ -292,8 +290,8 @@ def _run_fuzz_trial(config, trial):
             "order": order,
             "index": t.index,
             "reason": reason,
-            "coordinates": _serialize_all(backend, coords),
-            "data": _serialize_all(backend, values),
+            "coordinates": coordinates,
+            "data": data,
             "left": backend.serialize(t.left),
             "right": backend.serialize(t.right),
             "data_jump": backend.serialize(t.data_jump),
@@ -336,8 +334,8 @@ def _run_fuzz_trial(config, trial):
                 "trial": candidate[0],
                 "order": candidate[1],
                 "index": candidate[2],
-                "coordinates": _serialize_all(backend, coords),
-                "data": _serialize_all(backend, values),
+                "coordinates": coordinates,
+                "data": data,
             }
             if payload["best"] is None or _witness_beats(
                     backend, entry, payload["best"]):

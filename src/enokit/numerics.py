@@ -9,12 +9,18 @@ sign checks performed on exact scalars are authoritative.
 from fractions import Fraction
 from math import isfinite
 
-from .errors import InvalidMesh, ShapeError
+from .errors import InvalidMesh, NonFiniteValue, ShapeError
 
 try:
     import gmpy2 as _gmpy2
 except ImportError:  # gmpy2 is the optional "gmpy2" extra
     _gmpy2 = None
+
+
+# Shift of the levels that decide each stage: a cell's stage-j stencil
+# holds j+1 interfaces of the primitive, a node's holds j nodes.
+CELL = 1
+NODE = 0
 
 
 # ---- Backends ----
@@ -56,12 +62,7 @@ class ExactBackend:
     name = "exact"
     exact = True
 
-    def __init__(self, use_gmpy2=None):
-        if use_gmpy2 is None:
-            use_gmpy2 = _gmpy2 is not None
-        if use_gmpy2 and _gmpy2 is None:
-            raise ValueError("gmpy2 requested but not installed")
-        self._make = _gmpy2.mpq if use_gmpy2 else Fraction
+    _make = Fraction if _gmpy2 is None else _gmpy2.mpq
 
     def convert(self, x):
         """Coerce x to a rational, exactly.
@@ -183,6 +184,31 @@ def grid_integers(points):
     return ints
 
 
+def check_finite(values, what, indices=None):
+    """Reject NaN and +-inf among the float entries of values."""
+    for k in range(len(values)) if indices is None else indices:
+        v = values[k]
+        if isinstance(v, float) and not isfinite(v):
+            raise NonFiniteValue(f"{what} {k} is {v!r}")
+
+
+def check_increasing(coords, what):
+    """Strictly increasing coordinates with finite ends.
+
+    NaN fails every comparison and an infinity can only sit at an end of a
+    strictly increasing sequence, so checking the ends and any failed
+    comparison covers every entry.
+    """
+    for k in range(len(coords) - 1):
+        if not coords[k] < coords[k + 1]:
+            check_finite(coords, what, (k, k + 1))
+            raise InvalidMesh(
+                f"{what}s must be strictly increasing; offender at index {k + 1}"
+            )
+    if coords:
+        check_finite(coords, what, (0, len(coords) - 1))
+
+
 def check_depth(table, p, depth):
     """Raise ValueError unless the table reaches level `depth`, which
     order p reads."""
@@ -239,6 +265,7 @@ def divided_difference_table(points, values, max_order=None):
     Raises:
         ShapeError: length mismatch or empty input.
         InvalidMesh: points not strictly increasing.
+        NonFiniteValue: a NaN or infinite float point or value.
     """
     pts = list(points)
     vals = list(values)
@@ -246,11 +273,8 @@ def divided_difference_table(points, values, max_order=None):
         raise ShapeError(f"{len(pts)} points but {len(vals)} values")
     if not pts:
         raise ShapeError("empty point set")
-    for k in range(len(pts) - 1):
-        if not pts[k] < pts[k + 1]:
-            raise InvalidMesh(
-                f"points must be strictly increasing; offender at index {k + 1}"
-            )
+    check_increasing(pts, "point")
+    check_finite(vals, "value")
     if max_order is None or max_order > len(pts) - 1:
         max_order = len(pts) - 1
     table = level_table(pts, vals, max_order)

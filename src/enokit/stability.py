@@ -16,8 +16,11 @@ from math import factorial, gcd, lcm
 
 from .errors import StencilOutOfRange
 from .numerics import (
+    CELL,
     EXACT,
+    NODE,
     check_depth,
+    check_increasing,
     divided_difference_table,
     halfway,
     is_float_data,
@@ -199,6 +202,47 @@ def _offsets(signature):
     return tuple(getattr(signature, "offsets", signature))
 
 
+def _telescoped_terms(source, table, left_signature, right_signature,
+                      left_anchor, p, shift):
+    """Summands of the telescoped jump between anchors left_anchor and
+    left_anchor+1: the level-(p+shift) divided differences of `source` (the
+    primitive for shift = CELL, the field for NODE) times their factors.
+    The breakpoint is the interface, whose own factor is skipped, or the
+    midpoint of the two nodes."""
+    w = p + shift
+    if table is None:
+        table = divided_difference_table(source.nodes, source.values,
+                                         max_order=w)
+    check_depth(table, p, w)
+    X = table.points
+    if shift == CELL:
+        skip = left_anchor + 1
+        x = X[skip]
+    else:
+        skip = None
+        x0, x1 = X[left_anchor], X[left_anchor + 1]
+        x = (x0 + x1) // 2 if type(x0) is int else halfway(x0, x1)
+    lo = left_anchor + _offsets(left_signature)[-1]
+    hi = left_anchor + _offsets(right_signature)[-1]
+    sign = 1
+    if lo > hi + 1:
+        lo, hi, sign = hi + 1, lo - 1, -1
+    if lo <= hi and (lo < 0 or hi + w > len(X) - 1):
+        raise StencilOutOfRange(
+            f"telescoped sum needs points {lo}..{hi + w}; have 0..{len(X) - 1}"
+        )
+    level = table.levels[w]
+    terms = []
+    for a in range(lo, hi + 1):
+        prod = X[a + w] - X[a]
+        for k in range(a + 1, a + w):
+            if k != skip:
+                prod = prod * (x - X[k])
+        term = level[a] * prod
+        terms.append(term if sign == 1 else -term)
+    return terms
+
+
 def telescoped_terms_reconstruction(primitive, left_signature, right_signature,
                                     interface, p, table=None):
     """Summands of the telescoped jump at one interface, left to right.
@@ -209,30 +253,8 @@ def telescoped_terms_reconstruction(primitive, left_signature, right_signature,
     the right stencil starts left of the left one (possible only for
     hand-crafted signatures), the summands flip sign.
     """
-    if table is None:
-        table = divided_difference_table(primitive.nodes, primitive.values,
-                                         max_order=p + 1)
-    check_depth(table, p, p + 1)
-    X = table.points
-    lo = (interface - 1) + _offsets(left_signature)[-1]
-    hi = interface + _offsets(right_signature)[-1] - 1
-    sign = 1
-    if lo > hi + 1:
-        lo, hi, sign = hi + 1, lo - 1, -1
-    if lo <= hi and (lo < 0 or hi + p + 1 > len(X) - 1):
-        raise StencilOutOfRange(
-            f"telescoped sum needs points {lo}..{hi + p + 1}; have 0..{len(X) - 1}"
-        )
-    terms = []
-    for a in range(lo, hi + 1):
-        prod = X[a + p + 1] - X[a]
-        for m in range(p):
-            idx = a + m + 1
-            if idx != interface:
-                prod = prod * (X[interface] - X[idx])
-        term = table.entry(p + 1, a) * prod
-        terms.append(term if sign == 1 else -term)
-    return terms
+    return _telescoped_terms(primitive, table, left_signature,
+                             right_signature, interface - 1, p, CELL)
 
 
 def telescoped_jump_reconstruction(primitive, left_signature, right_signature,
@@ -258,29 +280,8 @@ def telescoped_terms_interpolation(field, left_signature, right_signature,
     the evaluation point. On a table over grid_integers the midpoint is
     an int.
     """
-    if table is None:
-        table = divided_difference_table(field.nodes, field.values, max_order=p)
-    check_depth(table, p, p)
-    X = table.points
-    x0, x1 = X[midpoint], X[midpoint + 1]
-    xm = (x0 + x1) // 2 if type(x0) is int else halfway(x0, x1)
-    lo = midpoint + _offsets(left_signature)[-1]
-    hi = midpoint + _offsets(right_signature)[-1]
-    sign = 1
-    if lo > hi + 1:
-        lo, hi, sign = hi + 1, lo - 1, -1
-    if lo <= hi and (lo < 0 or hi + p > len(X) - 1):
-        raise StencilOutOfRange(
-            f"telescoped sum needs points {lo}..{hi + p}; have 0..{len(X) - 1}"
-        )
-    terms = []
-    for a in range(lo, hi + 1):
-        prod = X[a + p] - X[a]
-        for m in range(1, p):
-            prod = prod * (xm - X[a + m])
-        term = table.entry(p, a) * prod
-        terms.append(term if sign == 1 else -term)
-    return terms
+    return _telescoped_terms(field, table, left_signature, right_signature,
+                             midpoint, p, NODE)
 
 
 def telescoped_jump_interpolation(field, left_signature, right_signature,
@@ -318,7 +319,9 @@ def _coordinates(mesh):
         return mesh.interfaces
     if hasattr(mesh, "nodes"):
         return mesh.nodes
-    return list(mesh)
+    coords = list(mesh)
+    check_increasing(coords, "coordinate")
+    return coords
 
 
 def _recursive_constants(X, anchor, p, shift):

@@ -1,9 +1,13 @@
 """Command-line front end: formats, exit codes, byte stability."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import enokit
 from enokit.cli import main
 
 CELLS_STEP = "x_left,x_right,avg\n" + "".join(
@@ -43,6 +47,19 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "reconstruct" in out
+
+
+def test_import_leaves_numpy_unloaded():
+    """Only `converge` needs numpy; importing the package and its front
+    end in a fresh interpreter must not load it."""
+    src = os.path.dirname(os.path.dirname(enokit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, enokit, enokit.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_bounds_uniform_reconstruction(capsys):

@@ -11,6 +11,7 @@ from enokit import (
     EXACT,
     FLOAT,
     InvalidMesh,
+    NonFiniteValue,
     ShapeError,
     divided_difference_table,
     get_backend,
@@ -154,6 +155,10 @@ def test_table_validation():
         divided_difference_table([0, 0, 1], [1, 2, 3])
     with pytest.raises(InvalidMesh):
         divided_difference_table([0, 2, 1], [1, 2, 3])
+    with pytest.raises(NonFiniteValue, match="value 1"):
+        divided_difference_table([0, 1, 2], [1, math.nan, 3])
+    with pytest.raises(NonFiniteValue, match="point 2"):
+        divided_difference_table([0, 1, math.inf], [1, 2, 3])
 
 
 @given(

@@ -1,5 +1,7 @@
 """Verdicts, telescoped jump oracles, and bound constants."""
 
+import ast
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from enokit import (
     CellAverageField,
     InterfaceTrace,
+    InvalidMesh,
     Mesh,
+    NonFiniteValue,
     PointValueField,
     StencilOutOfRange,
     bound_constants_recursive,
@@ -27,6 +31,7 @@ from enokit import (
     uniform_bound_cp,
     uniform_mesh,
 )
+import enokit.stability
 from enokit.harness import WIDTH_DENOMINATOR, FuzzConfig, _trial_inputs
 from enokit.stability import telescoped_terms_reconstruction
 
@@ -238,6 +243,22 @@ def test_telescoped_window_check():
         telescoped_terms_reconstruction(prim, (0, -1), (0, -1), 1, 2)
 
 
+def test_the_oracle_shares_no_code_with_the_trace_path():
+    """stability, which holds the telescoped oracle, imports no eno_*
+    module, so the oracle stays an independent judge of the traces."""
+    with open(enokit.stability.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any(
+        "eno_" in name for name in imported), sorted(imported)
+
+
 def test_a_shallow_oracle_table_is_a_value_error():
     """The oracles read level p+1 (reconstruction) or p (interpolation)
     of their table; one level less is a ValueError naming that depth."""
@@ -389,6 +410,25 @@ def test_bound_position_validation():
         bound_constants_recursive(mesh, 2, kind="other")
     with pytest.raises(ValueError):
         bound_constants_recursive(mesh, 0)
+
+
+@pytest.mark.parametrize("coords, error", [
+    ([0, 2, 1, 3, 4, 5, 6, 7], InvalidMesh),
+    ([0, 1, 1, 2, 3, 4, 5, 6], InvalidMesh),
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, math.inf], NonFiniteValue),
+    ([0.0, math.nan, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], NonFiniteValue),
+])
+def test_bounds_reject_bad_plain_coordinates(coords, error):
+    """Plain coordinate lists are checked as a Mesh checks its interfaces."""
+    for kind in ("reconstruction", "interpolation"):
+        with pytest.raises(error):
+            position_bounds(coords, (2,), kind)
+        with pytest.raises(error):
+            bound_constants_recursive(coords, 2, kind)
+    with pytest.raises(error):
+        bound_Cp(coords, 2)
+    with pytest.raises(error):
+        bound_cp(coords, 2)
 
 
 def test_stage_one_constants_are_one():
