@@ -1,13 +1,15 @@
 """Batch front end: CSV in, CSV or JSON reports out.
 
-Exit codes: 0 success, 2 malformed CSV or bad arguments (line-numbered
-diagnostic on stderr), 3 data window too small for the requested order,
-4 violations found by verify or fuzz. Outputs are byte-stable for a fixed
-seed, backend, and argument set.
+Exit codes: 0 success, 2 malformed CSV, bad arguments or an unwritable
+output path (one-line diagnostic on stderr, line-numbered for CSV input),
+3 data window too small for the requested order, 4 violations found by
+verify or fuzz. Outputs are byte-stable for a fixed seed, backend, and
+argument set.
 """
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -51,10 +53,13 @@ class _CsvError(Exception):
         self.line = line
 
 
+_SCALAR_ERRORS = (ValueError, ZeroDivisionError, TypeError, OverflowError)
+
+
 def _parse_scalar(backend, text, line, column):
     try:
         return backend.parse(text.strip())
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+    except _SCALAR_ERRORS:
         raise _CsvError(line, f"column {column}: unparsable scalar {text.strip()!r}")
 
 
@@ -123,23 +128,22 @@ def _read_points(path, backend):
 
 
 def _write_rows(path, header, rows):
-    if path == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buffer.getvalue())
 
 
 def _write_text(path, text):
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def _trace_rows(traces, backend):
@@ -236,7 +240,10 @@ def _cmd_bounds(args):
 
 def _cmd_worst_case(args):
     backend = get_backend(args.backend)
-    epsilon = backend.parse(args.epsilon)
+    try:
+        epsilon = backend.parse(args.epsilon)
+    except _SCALAR_ERRORS:
+        raise ValueError(f"--epsilon: unparsable scalar {args.epsilon!r}")
     field = worst_case_averages(args.order, epsilon, args.cells, backend)
     traces = interface_traces(field, args.order)
     report = sign_report(traces)

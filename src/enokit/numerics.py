@@ -147,7 +147,7 @@ def quotient(a, b):
     divides as it is.
     """
     if type(a) is int and type(b) is int:
-        return EXACT.convert(a) / b
+        return EXACT._make(a, b)
     return a / b
 
 

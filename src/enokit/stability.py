@@ -202,45 +202,67 @@ def _offsets(signature):
     return tuple(getattr(signature, "offsets", signature))
 
 
+def _breakpoint(X, left_anchor, shift):
+    """The breakpoint between anchors left_anchor and left_anchor+1, and
+    the index of the point whose factor it skips: the interface
+    X[left_anchor+1] itself for shift = CELL, the midpoint of the two
+    nodes, which skips none, for NODE. Int nodes have an int midpoint."""
+    if shift == CELL:
+        return X[left_anchor + 1], left_anchor + 1
+    x0, x1 = X[left_anchor], X[left_anchor + 1]
+    return (x0 + x1) // 2 if type(x0) is int else halfway(x0, x1), None
+
+
+def _window_products(X, x, skip, w, starts):
+    """Geometric factor of each width-w window start a at the breakpoint x:
+    (X[a+w] - X[a]) * prod_{k=a+1}^{a+w-1, k != skip} (x - X[k]), with the
+    products taken left to right."""
+    products = []
+    for a in starts:
+        prod = X[a + w] - X[a]
+        for k in range(a + 1, a + w):
+            if k != skip:
+                prod = prod * (x - X[k])
+        products.append(prod)
+    return products
+
+
 def _telescoped_terms(source, table, left_signature, right_signature,
                       left_anchor, p, shift):
     """Summands of the telescoped jump between anchors left_anchor and
     left_anchor+1: the level-(p+shift) divided differences of `source` (the
-    primitive for shift = CELL, the field for NODE) times their factors.
-    The breakpoint is the interface, whose own factor is skipped, or the
-    midpoint of the two nodes."""
+    primitive for shift = CELL, the field for NODE) times their window
+    products at the breakpoint."""
     w = p + shift
     if table is None:
         table = divided_difference_table(source.nodes, source.values,
                                          max_order=w)
     check_depth(table, p, w)
     X = table.points
-    if shift == CELL:
-        skip = left_anchor + 1
-        x = X[skip]
-    else:
-        skip = None
-        x0, x1 = X[left_anchor], X[left_anchor + 1]
-        x = (x0 + x1) // 2 if type(x0) is int else halfway(x0, x1)
     lo = left_anchor + _offsets(left_signature)[-1]
     hi = left_anchor + _offsets(right_signature)[-1]
     sign = 1
     if lo > hi + 1:
         lo, hi, sign = hi + 1, lo - 1, -1
-    if lo <= hi and (lo < 0 or hi + w > len(X) - 1):
+    if lo > hi:
+        return []
+    if lo < 0 or hi + w > len(X) - 1:
         raise StencilOutOfRange(
             f"telescoped sum needs points {lo}..{hi + w}; have 0..{len(X) - 1}"
         )
-    level = table.levels[w]
-    terms = []
-    for a in range(lo, hi + 1):
-        prod = X[a + w] - X[a]
-        for k in range(a + 1, a + w):
-            if k != skip:
-                prod = prod * (x - X[k])
-        term = level[a] * prod
-        terms.append(term if sign == 1 else -term)
-    return terms
+    x, skip = _breakpoint(X, left_anchor, shift)
+    products = _window_products(X, x, skip, w, range(lo, hi + 1))
+    terms = list(map(operator.mul, table.levels[w][lo:hi + 1], products))
+    return terms if sign == 1 else [-term for term in terms]
+
+
+def _left_to_right_sum(terms):
+    # Not sum(): from Python 3.12 on it compensates float rounding, and
+    # the float bits of the telescoped jumps are pinned to plain addition.
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
 
 
 def telescoped_terms_reconstruction(primitive, left_signature, right_signature,
@@ -264,11 +286,8 @@ def telescoped_jump_reconstruction(primitive, left_signature, right_signature,
     Equals right trace minus left trace without ever evaluating the two
     polynomials; exactly so in the exact backend.
     """
-    total = 0
-    for term in telescoped_terms_reconstruction(
-            primitive, left_signature, right_signature, interface, p, table):
-        total = total + term
-    return total
+    return _left_to_right_sum(telescoped_terms_reconstruction(
+        primitive, left_signature, right_signature, interface, p, table))
 
 
 def telescoped_terms_interpolation(field, left_signature, right_signature,
@@ -287,11 +306,8 @@ def telescoped_terms_interpolation(field, left_signature, right_signature,
 def telescoped_jump_interpolation(field, left_signature, right_signature,
                                   midpoint, p, table=None):
     """Jump of the two one-sided traces at a node midpoint, telescoped form."""
-    total = 0
-    for term in telescoped_terms_interpolation(
-            field, left_signature, right_signature, midpoint, p, table):
-        total = total + term
-    return total
+    return _left_to_right_sum(telescoped_terms_interpolation(
+        field, left_signature, right_signature, midpoint, p, table))
 
 
 # ---- Bound constants ----
@@ -324,17 +340,26 @@ def _coordinates(mesh):
     return coords
 
 
+def _kind_shift(kind):
+    """CELL for "reconstruction", NODE for "interpolation"."""
+    if kind == "reconstruction":
+        return CELL
+    if kind == "interpolation":
+        return NODE
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def _recursive_constants(X, anchor, p, shift):
     """Constant triangle around `anchor`; stage-1 entries are all 1.
 
-    `shift` is -1 for reconstruction (denominators span one extra gap to
-    the left) and 0 for interpolation.
+    The stage-(j+1) denominator of offset k spans X[anchor+k-shift] to
+    X[anchor+k+j+1]: one extra gap to the left for shift = CELL.
     """
     two = EXACT.convert(2)
     C = {(k, 1): EXACT.convert(1) for k in range(-p + 1, p)}
     for j in range(1, p):
         for k in range(-p + 1, p - j):
-            den = X[anchor + k + j + 1] - X[anchor + k + shift]
+            den = X[anchor + k + j + 1] - X[anchor + k - shift]
             C[(k, j + 1)] = two / den * max(C[(k, j)], C[(k + 1, j)])
     return C
 
@@ -347,68 +372,35 @@ def _stage_rows(X, pmax, shift):
     start s = anchor + k and the stage j, so one table serves every
     position and every order up to `pmax`. The stage-j constant of start
     s is 2**(j-1) / rows[j][s], with rows[1][s] = 1 and
-    rows[j+1][s] = (X[s+j+1] - X[s+shift]) * min(rows[j][s], rows[j][s+1]),
-    which is the recursion 2 / den * max(...) of `_recursive_constants`
-    with no rational made. Entries whose window leaves the coordinates are
-    None.
+    rows[j+1][s] = (X[s+j+1] - X[s-shift]) * min(rows[j][s], rows[j][s+1])
+    for shift = CELL or NODE, which is the recursion 2 / den * max(...) of
+    `_recursive_constants` with no rational made. Entries whose window
+    leaves the coordinates are None.
     """
     rows = [None, [1] * len(X)]
     for j in range(1, pmax):
         prev = rows[j]
         row = [None] * len(X)
-        for s in range(max(0, -shift), len(X) - j - 1):
-            row[s] = (X[s + j + 1] - X[s + shift]) * min(prev[s], prev[s + 1])
+        for s in range(shift, len(X) - j - 1):
+            row[s] = (X[s + j + 1] - X[s - shift]) * min(prev[s], prev[s + 1])
         rows.append(row)
     return rows
 
 
-def _recon_factors(X, iota, p):
-    """Geometric factors of the reconstruction bound at interface `iota`.
+def _bound_factors(X, position, p, shift):
+    """Geometric factors of the order-p jump bound at `position`, and their
+    divisor X[position+1] - X[position-shift].
 
-    Returns the absolute factor of each offset -p+1..0 and the divisor of
-    their weighted sum; ints on int coordinates.
+    The factor of offset k = -p+1..0 is the absolute window product of the
+    telescoped oracle for the window of width p+shift that starts at
+    position - shift + k, at the position's breakpoint. Ints on int
+    coordinates whose node midpoints are ints.
     """
-    factors = []
-    for k in range(-p + 1, 1):
-        prod = 1
-        for m in range(p):
-            if k + m != 0:
-                prod = prod * (X[iota] - X[iota + k + m])
-        factors.append(abs((X[iota + k + p] - X[iota + k - 1]) * prod))
-    return factors, X[iota + 1] - X[iota - 1]
-
-
-def _interp_factors(X, nu, p):
-    """Geometric factors of the interpolation bound at the midpoint right
-    of node `nu`, as _recon_factors.
-
-    The midpoint factors are taken doubled, (X[nu] + X[nu+1] - 2 X[.]),
-    and the 2**(p-1) goes into the divisor, so integer coordinates keep
-    integer factors.
-    """
-    twice_xm = X[nu] + X[nu + 1]
-    factors = []
-    for r in range(-p + 1, 1):
-        prod = 1
-        for m in range(1, p):
-            prod = prod * (twice_xm - 2 * X[nu + r + m])
-        factors.append(abs((X[nu + r + p] - X[nu + r]) * prod))
-    return factors, 2 ** (p - 1) * (X[nu + 1] - X[nu])
-
-
-_SHIFT = {"reconstruction": -1, "interpolation": 0}
-_FACTORS = {"reconstruction": _recon_factors, "interpolation": _interp_factors}
-
-
-def _check_kind(kind):
-    if kind not in _SHIFT:
-        raise ValueError(f"unknown kind {kind!r}")
-
-
-def _valid_positions(kind, p, last):
-    if kind == "reconstruction":
-        return p, last - p
-    return p - 1, last - p
+    left = position - shift
+    x, skip = _breakpoint(X, left, shift)
+    products = _window_products(X, x, skip, p + shift,
+                                range(left - p + 1, left + 1))
+    return list(map(abs, products)), X[position + 1] - X[left]
 
 
 def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
@@ -433,9 +425,9 @@ def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
     """
     if p < 1:
         raise ValueError("order must be >= 1")
-    _check_kind(kind)
+    shift = _kind_shift(kind)
     X = [EXACT.convert(x) for x in _coordinates(mesh)]
-    lo, hi = _valid_positions(kind, p, len(X) - 1)
+    lo, hi = p - 1 + shift, len(X) - 1 - p
     if lo > hi:
         raise StencilOutOfRange(
             f"no order-{p} {kind} window fits on {len(X)} coordinates"
@@ -446,9 +438,9 @@ def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
         raise StencilOutOfRange(
             f"position {position} outside the admissible range {lo}..{hi}"
         )
-    C = _recursive_constants(X, position, p, _SHIFT[kind])
+    C = _recursive_constants(X, position, p, shift)
     constants = tuple(C[(k, p)] for k in range(-p + 1, 1))
-    factors, divisor = _FACTORS[kind](X, position, p)
+    factors, divisor = _bound_factors(X, position, p, shift)
     total = EXACT.convert(0)
     for c, f in zip(constants, factors):
         total = total + c * f
@@ -460,10 +452,12 @@ def position_bounds(mesh, orders, kind="reconstruction"):
 
     One stage-constant table, built up to the largest order, serves every
     position and every order. The bounds are invariant under scaling the
-    coordinates, so they are computed on the exact coordinates times the
-    least common multiple of their denominators: integers, which keep the
-    geometric factors and the stage constants' denominators in integers.
-    Each bound is summed over a common denominator and made one rational.
+    coordinates, so they are computed on the exact coordinates times
+    (2 - shift) times the least common multiple of their denominators
+    (shift = CELL for reconstruction, NODE for interpolation): integers
+    whose node midpoints are integers too, which keep the geometric
+    factors and the stage constants' denominators in integers. Each bound
+    is summed over a common denominator and made one rational.
 
     Args:
         mesh: Mesh, point-value field, or plain coordinate sequence.
@@ -477,30 +471,28 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     orders = tuple(orders)
     if any(p < 1 for p in orders):
         raise ValueError("order must be >= 1")
-    _check_kind(kind)
+    shift = _kind_shift(kind)
     if not orders:
         return {}
     X = [x if hasattr(x, "denominator") else EXACT.convert(x)
          for x in _coordinates(mesh)]
-    scale = lcm(*(int(x.denominator) for x in X))
+    scale = (2 - shift) * lcm(*(int(x.denominator) for x in X))
     X = [int(x.numerator) * (scale // int(x.denominator)) for x in X]
-    rows = _stage_rows(X, max(orders), _SHIFT[kind])
-    factors_at = _FACTORS[kind]
+    rows = _stage_rows(X, max(orders), shift)
     bounds = {}
     for p in orders:
-        lo, hi = _valid_positions(kind, p, len(X) - 1)
         row = rows[p]
         power = 2 ** (p - 1)
         bounds[p] = at_p = {}
-        for pos in range(lo, hi + 1):
-            factors, divisor = factors_at(X, pos, p)
+        for pos in range(p - 1 + shift, len(X) - p):
+            factors, divisor = _bound_factors(X, pos, p, shift)
             # sum of f / d over the offsets, as num / den with den the
             # least common multiple of the d
             num, den = 0, 1
             for f, d in zip(factors, row[pos - p + 1:pos + 1]):
                 g = gcd(den, d)
                 num, den = num * (d // g) + f * (den // g), den * (d // g)
-            at_p[pos] = EXACT.convert(power * num) / (den * divisor)
+            at_p[pos] = quotient(power * num, den * divisor)
     return bounds
 
 

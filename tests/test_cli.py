@@ -248,6 +248,36 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("bounds", "--uniform", "--order", "3"),
+    ("reconstruct", "--input", "{cells}", "--order", "2"),
+    ("interpolate", "--input", "{points}", "--order", "2"),
+    ("verify", "--input", "{cells}", "--order", "2"),
+    ("worst-case", "--order", "2"),
+    ("fuzz", "--trials", "1", "--cells", "8", "--orders", "1"),
+    ("converge", "--orders", "1", "--resolutions", "8,16"),
+], ids=lambda command: command[0])
+def test_unwritable_output_exit_code(capsys, tmp_path, cells_csv, points_csv,
+                                     command):
+    """Every command reports an output path it cannot write as one error
+    line and exits 2: here the path is a directory."""
+    argv = [arg.format(cells=cells_csv, points=points_csv) for arg in command]
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_construction_exit_code(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "construction.csv")
+    code, out, err = run(capsys, "worst-case", "--order", "2",
+                         "--construction", missing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {missing}: ")
+
+
 def test_order_too_large_exit_code(capsys, cells_csv):
     code, _, err = run(capsys, "reconstruct", "--input", cells_csv,
                        "--order", "5")
@@ -275,6 +305,16 @@ def test_worst_case_construction_round_trips(capsys, tmp_path):
                        "--order", "3")
     assert code == 0
     assert "VIOLATION" not in out
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("epsilon", ["1/0", "abc"])
+def test_worst_case_bad_epsilon_exit_code(capsys, backend, epsilon):
+    code, out, err = run(capsys, "worst-case", "--order", "3", "--backend",
+                         backend, "--epsilon", epsilon)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --epsilon: unparsable scalar {epsilon!r}\n"
 
 
 def test_fuzz_json_and_exit(capsys):

@@ -1,6 +1,7 @@
 """Verdicts, telescoped jump oracles, and bound constants."""
 
 import ast
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from enokit import (
 )
 import enokit.stability
 from enokit.harness import WIDTH_DENOMINATOR, FuzzConfig, _trial_inputs
+from enokit.numerics import EXACT
 from enokit.stability import telescoped_terms_reconstruction
 
 from conftest import random_fraction_mesh, random_int_values
@@ -362,6 +364,31 @@ def test_position_bounds_equal_the_per_position_reference(kind):
                 assert type(got) is type(ref)
                 checked += 1
             assert checked == len(table[p]) > 0
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("reconstruction",
+     "f8a2bac16e70f7964cb7a731988c296bee3b046ab4e862bbe6190d0d395aa8c3"),
+    ("interpolation",
+     "9648134e09893faa5ccdb0038588381d70cc36187b5ea3529894095fd16cd991"),
+])
+def test_position_bounds_are_pinned(kind, expected):
+    """The bounds, value and type, hashed: unlike the per-position
+    reference, this check shares no factor code with position_bounds.
+    A bound is hashed as its num/den string and whether it is the exact
+    backend's rational, so the digest holds for Fraction and gmpy2. The
+    digests were recorded before the bound factors became the oracle's
+    window product."""
+    ints = [0, 1, 3, 4, 7, 8, 9, 13, 15, 16, 21, 22, 24, 25, 30]
+    rational = type(EXACT.convert(0))
+    digest = hashlib.sha256()
+    for xs in _table_meshes() + [ints, _coprime_mesh(15)]:
+        for p, at_p in sorted(position_bounds(xs, range(1, 7), kind).items()):
+            for pos, bound in sorted(at_p.items()):
+                tag = ("rational" if type(bound) is rational
+                       else type(bound).__name__)
+                digest.update(f"{p} {pos} {tag} {bound}\n".encode())
+    assert digest.hexdigest() == expected
 
 
 def test_position_bounds_edge_cases():
