@@ -16,6 +16,7 @@ divided-difference table and a higher order resumes it.
 
 from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import add, mul, sub
 
 from .errors import ShapeError, StencilOutOfRange
 from .numerics import (
@@ -88,17 +89,19 @@ def _select(level, left):
     magnitude; ties keep it. Deterministic. Returns the next stage's
     leftmost points.
     """
-    return [s - 1 if abs(level[s - 1]) < abs(level[s]) else s for s in left]
+    mags = list(map(abs, level))
+    return [s - 1 if mags[s - 1] < mags[s] else s for s in left]
 
 
 def _anchor_signature(table, anchor, p, shift):
     """The order-p StencilSignature of one anchor, one _select per stage."""
     check_depth(table, p, p - 1 + shift)
-    left = [anchor]
+    s = anchor
     offsets = [0]
     for j in range(1, p):
-        left = _select(table.levels[j + shift], left)
-        offsets.append(left[0] - anchor)
+        # The two entries that decide this anchor's stage, the second at 1.
+        s += _select(table.levels[j + shift][s - 1:s + 1], [1])[0] - 1
+        offsets.append(s - anchor)
     return StencilSignature(offsets)
 
 
@@ -214,8 +217,10 @@ class _Stages:
                 # taken at; a node's skip no point.
                 skips = range(lo, hi) if shift == CELL else repeat(None)
                 if j == 1:
-                    prods[k] = [_product(X, x, s, s + width, q)
-                                for x, s, q in zip(xs, cur, skips)]
+                    # One factor: the stage-1 stencil's point other than a
+                    # cell's interface, or a node's own point.
+                    prods[k] = list(map(sub, xs, islice(
+                        X, lefts[0][0] + k * (1 + shift), None)))
                 else:
                     old = prods[k]
                     del old[0], old[-1]
@@ -224,9 +229,9 @@ class _Stages:
                                 for x, r, s, b, q in zip(
                                     xs, old, cur, _shifted(lefts[j - 2], k),
                                     skips)]
-                sums[k] = [t + level[s] * r for r, t, s in zip(
-                    prods[k], islice(sums[k], 1, None),
-                    _shifted(lefts[j], k))]
+                sums[k] = list(map(add, islice(sums[k], 1, None), map(
+                    mul, map(level.__getitem__, _shifted(lefts[j], k)),
+                    prods[k])))
 
 
 def _stages(table, coords, p, shift):
@@ -259,7 +264,7 @@ def _traces(coords, data, p, table, shift):
             f"{'cells' if shift == CELL else 'nodes'}; have {n}")
     X, data, approximate = float_entry(coords, data)
     if table is None:
-        table = trace_table(X, data, p - 1 + shift, order=shift)
+        table = trace_table(X, data, p - 1 + shift, shift, approximate)
     elif len(table.points) != len(X):
         raise ShapeError(
             f"a table over {len(table.points)} points for data over {len(X)}")

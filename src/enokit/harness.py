@@ -119,7 +119,7 @@ def check_orders(field, orders):
         traces_of, telescoped = midpoint_traces, telescoped_jump_interpolation
     coords, data, approximate = float_entry(coords, data)
     table = trace_table(coords, data, min(max(orders) + level, len(coords) - 1),
-                        level)
+                        level, approximate)
     checked = {}
     for p in sorted(set(orders)):
         traces = trace_columns(traces_of(field, p, table=table))

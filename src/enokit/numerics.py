@@ -8,6 +8,7 @@ sign checks performed on exact scalars are authoritative.
 
 from fractions import Fraction
 from math import isfinite
+from operator import sub, truediv
 
 from .errors import InvalidMesh, NonFiniteValue, ShapeError
 
@@ -73,7 +74,8 @@ class ExactBackend:
         """
         if isinstance(x, str):
             f = Fraction(x)
-            return self._make(f.numerator, f.denominator)
+            return f if self._make is Fraction else self._make(
+                f.numerator, f.denominator)
         if isinstance(x, float):
             num, den = x.as_integer_ratio()
             return self._make(num, den)
@@ -115,7 +117,7 @@ def float_entry(coords, data):
     Returns (coords, data, approximate); exact input comes back as given.
     """
     if is_float_data(data) or is_float_data(coords):
-        return [float(x) for x in coords], [float(v) for v in data], True
+        return list(map(float, coords)), list(map(float, data)), True
     return coords, data, False
 
 
@@ -293,13 +295,10 @@ def divided_difference_levels(points, values, max_order, order=0):
     so must the points unless they are all ints (see grid_integers).
     """
     levels = [None] * order + [values]
-    n = len(points)
     for j in range(order + 1, max_order + 1):
         prev = levels[j - 1]
-        levels.append(
-            [(prev[k + 1] - prev[k]) / (points[k + j] - points[k])
-             for k in range(n - j)]
-        )
+        levels.append(list(map(truediv, map(sub, prev[1:], prev),
+                               map(sub, points[j:], points))))
     return levels
 
 
@@ -311,14 +310,18 @@ def level_table(points, values, max_order, order=0):
         points, promote_integers(values), max_order, order))
 
 
-def trace_table(points, values, max_order, order=0):
+def trace_table(points, values, max_order, order=0, approximate=False):
     """The table the trace and check code builds for itself.
 
+    Approximate data, all float from float_entry, are taken as they are.
     Exact points whose gaps lie on one grid become their grid_integers,
     which keep every product of coordinate differences an int; any other
     points go to level_table. The divided differences are taken over the
     points the table holds, so both give the same stencils and traces.
     """
+    if approximate:
+        return DividedDifferenceTable(points, divided_difference_levels(
+            points, values, max_order, order))
     ints = grid_integers(points)
     if ints is None:
         return level_table(points, values, max_order, order)

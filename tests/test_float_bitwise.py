@@ -6,11 +6,20 @@ traces. They change if the order of any float operation changes: in
 the divided differences (which start from the averages themselves in
 reconstruction and from the values in interpolation), the stencil
 comparisons, the trace products or the oracle's geometric factors.
+
+Run this file as a script to print the current digests:
+
+    python tests/test_float_bitwise.py
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # a source checkout, run as a script
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from enokit import CellAverageField, Mesh, PointValueField
 from enokit import interface_traces, midpoint_traces
@@ -46,18 +55,24 @@ def _data(count):
     return steps, alternating, sawtooth, zeros, scales
 
 
-def _traced(kind):
-    """(coordinates, data, p, traces) for every fixed field and p = 1..6."""
+def _fields(kind):
+    """(coordinates, data) of every fixed field of the kind."""
     for xs in _meshes():
         for data in _data(len(xs) if kind == "interpolation" else CELLS):
-            if kind == "reconstruction":
-                field = CellAverageField(Mesh(xs), data)
-                run = interface_traces
-            else:
-                field = PointValueField(xs, data)
-                run = midpoint_traces
-            for p in range(1, 7):
-                yield xs, data, p, run(field, p)
+            yield xs, data
+
+
+def _traced(kind):
+    """(coordinates, data, p, traces) for every fixed field and p = 1..6."""
+    for xs, data in _fields(kind):
+        if kind == "reconstruction":
+            field = CellAverageField(Mesh(xs), data)
+            run = interface_traces
+        else:
+            field = PointValueField(xs, data)
+            run = midpoint_traces
+        for p in range(1, 7):
+            yield xs, data, p, run(field, p)
 
 
 def _sha(lines):
@@ -71,11 +86,25 @@ def _digest(kind):
     )) for _, _, _, traces in _traced(kind) for t in traces)
 
 
+def _level(kind):
+    """The level the kind's data seed: averages 1, point values 0."""
+    return 1 if kind == "reconstruction" else 0
+
+
+def _table_digest(kind):
+    """Every float divided difference of the fixed fields, down to the
+    deepest level the oracle digest reads."""
+    level = _level(kind)
+    return _sha(repr(column)
+                for xs, data in _fields(kind)
+                for column in level_table(xs, data, 6 + level,
+                                          level).levels[level:])
+
+
 def _oracle_digest(kind):
-    if kind == "reconstruction":
-        level, terms_of = 1, telescoped_terms_reconstruction
-    else:
-        level, terms_of = 0, telescoped_terms_interpolation
+    level = _level(kind)
+    terms_of = (telescoped_terms_reconstruction if kind == "reconstruction"
+                else telescoped_terms_interpolation)
     lines = []
     for xs, data, p, traces in _traced(kind):
         table = level_table(xs, data, p + level, level)
@@ -104,3 +133,20 @@ def test_float_traces_are_bitwise_pinned(kind, expected):
 ])
 def test_float_oracle_terms_are_bitwise_pinned(kind, expected):
     assert _oracle_digest(kind) == expected
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("reconstruction",
+     "d70357a767988b9c21ea315ac34296c44be942d9f53250af951e1f5b01db0b80"),
+    ("interpolation",
+     "c247c3f8e32625fcc483953054ae9471b18fdaec45147dde8296fca457f1298f"),
+])
+def test_float_tables_are_bitwise_pinned(kind, expected):
+    assert _table_digest(kind) == expected
+
+
+if __name__ == "__main__":
+    for name, digest in (("traces", _digest), ("oracle terms", _oracle_digest),
+                         ("tables", _table_digest)):
+        for kind in ("reconstruction", "interpolation"):
+            print(f"{name:12} {kind:14} {digest(kind)}")
