@@ -15,7 +15,7 @@ divided-difference table and a higher order resumes it.
 """
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import add, mul, sub
 
 from .errors import ShapeError, StencilOutOfRange
@@ -119,16 +119,6 @@ def _signatures(lefts):
     return [interned[key] for key in keys]
 
 
-def _product(X, x, start, stop, skip):
-    """Product of x - X[k] over k = start..stop-1 except `skip`, in index
-    order from the first factor."""
-    prod = None
-    for k in range(start, stop):
-        if k != skip:
-            prod = x - X[k] if prod is None else prod * (x - X[k])
-    return prod
-
-
 def _shifted(column, k):
     """column from entry k on: the entries of the breakpoints' left
     anchors (k = 0) or right anchors (k = 1)."""
@@ -186,13 +176,15 @@ class _Stages:
 
         Stage j+1 adds to each stream the stage-(j+1) divided difference,
         level j+shift at the new stencil, times the product of x - X[k]
-        over the stage-j stencil. A stencil that kept its left end
-        multiplies its previous product by the one new factor, which keeps
-        every factor in index order; one that moved left recomputes its
-        product from the first factor. With shift = CELL a sum is the
-        derivative of the primitive's interpolant at the interface, whose
-        own factor the products skip; with shift = NODE, the values'
-        interpolant at the midpoint.
+        over the stage-j stencil, its factors in the order the points
+        entered, as NewtonPolynomial.value takes them. Each stage
+        multiplies the previous product by the factor of the one point it
+        brought in: the new right end of a stencil that kept its left end,
+        else the new left end. With shift = CELL a sum is the derivative
+        of the primitive's interpolant at the interface, whose own factor
+        the products skip; the interface is in the stencil from stage 1 on,
+        so it is never the new point. With shift = NODE a sum is the
+        values' interpolant at the midpoint.
         """
         X = table.points
         lefts = self.lefts
@@ -207,15 +199,11 @@ class _Stages:
             # iterator of each zip below spans exactly.
             lo = j + shift
             hi = lo + len(lefts[0]) - 1
-            width = j + shift  # points of the stage-j stencil
+            last = j + shift - 1  # right end of a stage-j stencil from its left
             # One stream at a time, each list replaced as soon as it is
             # read, so no more than one stream's old and new columns live.
             for k in (0, 1):
                 xs = islice(self.at, lo, hi)
-                cur = _shifted(lefts[j - 1], k)
-                # A cell's trace products skip the interface they are
-                # taken at; a node's skip no point.
-                skips = range(lo, hi) if shift == CELL else repeat(None)
                 if j == 1:
                     # One factor: the stage-1 stencil's point other than a
                     # cell's interface, or a node's own point.
@@ -224,11 +212,10 @@ class _Stages:
                 else:
                     old = prods[k]
                     del old[0], old[-1]
-                    prods[k] = [r * (x - X[s + width - 1]) if s == b
-                                else _product(X, x, s, s + width, q)
-                                for x, r, s, b, q in zip(
-                                    xs, old, cur, _shifted(lefts[j - 2], k),
-                                    skips)]
+                    prods[k] = [r * (x - X[s + last if s == b else s])
+                                for x, r, s, b in zip(
+                                    xs, old, _shifted(lefts[j - 1], k),
+                                    _shifted(lefts[j - 2], k))]
                 sums[k] = list(map(add, islice(sums[k], 1, None), map(
                     mul, map(level.__getitem__, _shifted(lefts[j], k)),
                     prods[k])))

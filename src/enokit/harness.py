@@ -362,7 +362,12 @@ def fuzz_sign_property(config, workers=1):
     Args:
         config: FuzzConfig.
         workers: process count; 1 runs in-process.
+
+    Raises:
+        ValueError: workers below 1.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     trial_ids = range(config.trials)
     runner = partial(_run_fuzz_trial, config)
     if workers > 1:

@@ -336,6 +336,15 @@ def test_fuzz_byte_stable_across_workers(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_fuzz_bad_workers_exit_code(capsys, workers):
+    code, out, err = run(capsys, "fuzz", "--trials", "2", "--workers",
+                         workers)
+    assert code == 2
+    assert out == ""
+    assert err == "error: workers must be >= 1\n"
+
+
 def test_fuzz_planted_violation_exits_four(capsys, monkeypatch):
     import enokit.cli as cli_mod
 

@@ -1,11 +1,15 @@
 """Bitwise pin of the binary64 trace path and telescoped oracle.
 
 The digests below hash every float trace of both kinds, p = 1..6, on fixed
-hard fields, and every float summand the telescoped oracle gives for those
-traces. They change if the order of any float operation changes: in
-the divided differences (which start from the averages themselves in
-reconstruction and from the values in interpolation), the stencil
-comparisons, the trace products or the oracle's geometric factors.
+hard fields, every float summand the telescoped oracle gives for those
+traces, and every float divided difference of those fields. They change
+if the order of any float operation changes: in the divided differences
+(which start from the averages themselves in reconstruction and from the
+values in interpolation), the stencil comparisons, the trace products or
+the oracle's geometric factors. The table digest pins the divided
+differences alone, so a change to the trace products moves only the
+trace digest. Trace products take their factors in the order the points
+entered the stencil, the order of NewtonPolynomial.value.
 
 Run this file as a script to print the current digests:
 
@@ -117,9 +121,9 @@ def _oracle_digest(kind):
 
 @pytest.mark.parametrize("kind, expected", [
     ("reconstruction",
-     "30892c75819c2d6867bf9f78e11332ada36f2d37dc6d61adcdc3c76c17229260"),
+     "ede27f2afff73c7339e8e0174231df62a9c9802a8eaccf12a19ede1a3b52082b"),
     ("interpolation",
-     "7805283ca8561e27eb8ac23b8c927b7ec5fd06f7fe18ecad3160d4bbae2f5f72"),
+     "c47063d0bab0254945c668d7d143954ba604fc2b7ece282cadaa99872968b469"),
 ])
 def test_float_traces_are_bitwise_pinned(kind, expected):
     assert _digest(kind) == expected

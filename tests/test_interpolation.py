@@ -149,17 +149,49 @@ def test_float_path_tracks_exact_path(p):
 
 def _value_from_scratch(table, node, offsets, x):
     """Value at x of the node's stencil polynomial, one breakpoint at a
-    time: every stage's product starts again from its first factor, in
-    index order."""
+    time: every stage's product starts again from its first factor, with
+    the points in the order the stages brought them in."""
     X, levels = table.points, table.levels
+    entered = [node]
+    for j in range(2, len(offsets) + 1):
+        start = node + offsets[j - 1]
+        entered.append(start if offsets[j - 1] != offsets[j - 2]
+                       else start + j - 1)
     total = levels[0][node]
     for j in range(2, len(offsets) + 1):
-        start = node + offsets[j - 2]
-        prod = x - X[start]
-        for idx in range(start + 1, start + j - 1):
+        prod = x - X[entered[0]]
+        for idx in entered[1:j - 1]:
             prod = prod * (x - X[idx])
         total = total + levels[j - 1][node + offsets[j - 1]] * prod
     return total
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_float_midpoint_traces_are_the_newton_form_bit_for_bit(p):
+    """Float midpoint traces multiply each stage's factors in the order
+    the points entered the stencil, as NewtonPolynomial.value does, so
+    they equal interpolant_at_node(...).value at the midpoint bit for bit
+    on non-dyadic meshes, where index order would round otherwise."""
+    from enokit import divided_difference_table
+
+    rng = random.Random(300 + p)
+    for _ in range(8):
+        n = 40
+        xs = [0.0]
+        for _ in range(n - 1):
+            xs.append(xs[-1] + rng.choice((0.1, 0.3, 1 / 3, 0.7))
+                      * rng.uniform(0.9, 1.1))
+        values = [rng.randint(-8, 8) + rng.uniform(-1e-3, 1e-3)
+                  for _ in range(n)]
+        field = PointValueField(xs, values)
+        table = divided_difference_table(xs, values, max_order=p - 1)
+        batch = midpoint_traces(field, p)
+        for nu, x, left, right in zip(batch.index, batch.location,
+                                      batch.left, batch.right):
+            assert x == (xs[nu] + xs[nu + 1]) / 2
+            assert left == interpolant_at_node(field, nu, p, table).value(x)
+            assert right == interpolant_at_node(field, nu + 1, p,
+                                                table).value(x)
 
 
 def _contract_field(scalar, p):

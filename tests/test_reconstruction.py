@@ -291,14 +291,19 @@ def test_newton_interpolant_from_an_averages_table():
 
 def _trace_from_scratch(table, cell, offsets, q):
     """One-sided trace at point q, one breakpoint at a time: every stage's
-    product starts again from its first factor, in index order."""
+    product starts again from its first factor, with the points in the
+    order the stages brought them in."""
     X, levels = table.points, table.levels
     xq = X[q]
+    entered = [cell, cell + 1]
+    for j in range(2, len(offsets) + 1):
+        start = cell + offsets[j - 1]
+        entered.append(start if offsets[j - 1] != offsets[j - 2]
+                       else start + j)
     total = levels[1][cell]
     for j in range(2, len(offsets) + 1):
-        start = cell + offsets[j - 2]
         prod = None
-        for idx in range(start, start + j):
+        for idx in entered[:j]:
             if idx != q:
                 prod = xq - X[idx] if prod is None else prod * (xq - X[idx])
         total = total + levels[j][cell + offsets[j - 1]] * prod
