@@ -171,7 +171,7 @@ def test_float_midpoint_traces_are_the_newton_form_bit_for_bit(p):
     """Float midpoint traces multiply each stage's factors in the order
     the points entered the stencil, as NewtonPolynomial.value does, so
     they equal interpolant_at_node(...).value at the midpoint bit for bit
-    on non-dyadic meshes, where index order would round otherwise."""
+    on non-dyadic meshes, where index order rounds differently."""
     from enokit import divided_difference_table
 
     rng = random.Random(300 + p)
