@@ -148,6 +148,8 @@ def _write_text(path, text):
 
 def _trace_rows(traces, backend):
     traces = trace_columns(traces)
+    labels = {signature: str(signature) for signature in
+              {*traces.left_signatures, *traces.right_signatures}}
     rows = []
     for x, left, right, d, left_sig, right_sig in zip(
             traces.location, traces.left, traces.right, traces.data_jump,
@@ -162,8 +164,8 @@ def _trace_rows(traces, backend):
             backend.serialize(right),
             backend.serialize(d),
             ratio,
-            str(left_sig),
-            str(right_sig),
+            labels[left_sig],
+            labels[right_sig],
         ))
     return rows
 

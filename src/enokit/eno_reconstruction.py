@@ -109,14 +109,18 @@ def _signatures(lefts):
     """The StencilSignature of every anchor, from lefts[j-1][i], the
     leftmost point of anchor lefts[0][i]'s stage-j stencil.
 
-    Anchors with the same offsets share one signature object, so a call
-    builds at most 2**(p-1) of them.
+    Each anchor is keyed by the stages whose stencil moved left, as bits,
+    and the offsets are rebuilt once per key: anchors with the same offsets
+    share one signature object, and a call builds at most 2**(p-1).
     """
-    anchors = lefts[0]
-    keys = list(zip(*[[s - a for s, a in zip(column, anchors)]
-                      for column in lefts]))
-    interned = {key: StencilSignature(key) for key in set(keys)}
-    return [interned[key] for key in keys]
+    keys = [0] * len(lefts[0])
+    for j in range(1, len(lefts)):
+        keys = [key | ((b - s) << j)
+                for key, s, b in zip(keys, lefts[j], lefts[j - 1])]
+    interned = {key: StencilSignature([
+        -(key & (2 << j) - 1).bit_count() for j in range(len(lefts))])
+        for key in set(keys)}
+    return list(map(interned.__getitem__, keys))
 
 
 def _shifted(column, k):
@@ -184,7 +188,9 @@ class _Stages:
         of the primitive's interpolant at the interface, whose own factor
         the products skip; the interface is in the stencil from stage 1 on,
         so it is never the new point. With shift = NODE a sum is the
-        values' interpolant at the midpoint.
+        values' interpolant at the midpoint. The streams are a breakpoint's
+        two anchors, so both read one column per stage of each anchor's new
+        point and divided difference, then replace their lists in turn.
         """
         X = table.points
         lefts = self.lefts
@@ -200,8 +206,11 @@ class _Stages:
             lo = j + shift
             hi = lo + len(lefts[0]) - 1
             last = j + shift - 1  # right end of a stage-j stencil from its left
-            # One stream at a time, each list replaced as soon as it is
-            # read, so no more than one stream's old and new columns live.
+            # Per anchor: stage j's new point and stage j+1's coefficient.
+            if j > 1:
+                new = [X[s + last] if s == b else X[s]
+                       for s, b in zip(lefts[j - 1], lefts[j - 2])]
+            coefficients = list(map(level.__getitem__, lefts[j]))
             for k in (0, 1):
                 xs = islice(self.at, lo, hi)
                 if j == 1:
@@ -212,13 +221,10 @@ class _Stages:
                 else:
                     old = prods[k]
                     del old[0], old[-1]
-                    prods[k] = [r * (x - X[s + last if s == b else s])
-                                for x, r, s, b in zip(
-                                    xs, old, _shifted(lefts[j - 1], k),
-                                    _shifted(lefts[j - 2], k))]
+                    prods[k] = [r * (x - y) for x, r, y in zip(
+                        xs, old, _shifted(new, k))]
                 sums[k] = list(map(add, islice(sums[k], 1, None), map(
-                    mul, map(level.__getitem__, _shifted(lefts[j], k)),
-                    prods[k])))
+                    mul, _shifted(coefficients, k), prods[k])))
 
 
 def _stages(table, coords, p, shift):

@@ -59,6 +59,7 @@ def worst_case_averages(p, epsilon=1e-10, n_cells=20, backend=FLOAT):
         backend: scalar backend for coordinates and averages.
 
     Raises:
+        ValueError: p < 1, or epsilon not >= 0.
         StencilOutOfRange: n_cells too small for the target interface.
     """
     if p < 1:
@@ -68,6 +69,8 @@ def worst_case_averages(p, epsilon=1e-10, n_cells=20, backend=FLOAT):
             f"need at least {2 * p + 10} cells for order {p}; have {n_cells}"
         )
     eps = backend.convert(epsilon)
+    if not eps >= 0:
+        raise ValueError("epsilon must be >= 0")
     zero = backend.convert(0)
     one = backend.convert(1)
     start = 4 - n_cells // 2

@@ -12,7 +12,7 @@ be polluted by round-off in the bound itself.
 
 import operator
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import StencilOutOfRange
 from .numerics import (
@@ -156,27 +156,29 @@ def _verdict_exact(left, right, d):
     return "SameSign", ratio
 
 
-def _verdict_float(left, right, d):
-    jump = right - left
-    scale = max(abs(left), abs(right), abs(d))
-    tol = FLOAT_SIGN_TOL * scale
-    if abs(jump) <= tol:
-        return "Continuous", (jump / d if d != 0.0 else None)
-    if d == 0.0:
-        return "VIOLATION", None
-    ratio = jump / d
-    if ratio < 0.0:
-        return "VIOLATION", ratio
-    return "SameSign", ratio
+def _float_verdicts(left, right, data_jump):
+    """Verdicts and ratios of float trace columns: Continuous for a jump
+    within FLOAT_SIGN_TOL times the local scale, else _verdict_exact's."""
+    verdicts = []
+    ratios = []
+    for a, b, d in zip(left, right, data_jump):
+        jump = b - a
+        ratio = jump / d if d != 0.0 else None
+        ratios.append(ratio)
+        if abs(jump) <= FLOAT_SIGN_TOL * max(abs(a), abs(b), abs(d)):
+            verdicts.append("Continuous")
+        elif ratio is None or ratio < 0.0:
+            verdicts.append("VIOLATION")
+        else:
+            verdicts.append("SameSign")
+    return verdicts, ratios
 
 
 def _verdict_any(left, right, d):
     if is_float_data((left, right, d)):
-        return _verdict_float(left, right, d)
+        (verdict,), (ratio,) = _float_verdicts((left,), (right,), (d,))
+        return verdict, ratio
     return _verdict_exact(left, right, d)
-
-
-_JUDGES = {True: _verdict_float, False: _verdict_exact, None: _verdict_any}
 
 
 def sign_report(traces):
@@ -185,13 +187,16 @@ def sign_report(traces):
     Exact scalars get strict verdicts; float scalars tolerate wrong-signed
     jumps up to FLOAT_SIGN_TOL times the local scale before flagging, so
     round-off is not reported as a violation. `traces` is a TraceBatch or
-    any iterable of InterfaceTrace.
+    any iterable of InterfaceTrace. A float batch is judged column-wise.
     """
     batch = trace_columns(traces)
-    judged = list(map(_JUDGES[batch.approximate], batch.left, batch.right,
-                      batch.data_jump))
-    verdicts = tuple(verdict for verdict, _ in judged)
-    ratios = tuple(ratio for _, ratio in judged)
+    if batch.approximate:
+        verdicts, ratios = map(tuple, _float_verdicts(
+            batch.left, batch.right, batch.data_jump))
+    else:
+        judge = _verdict_exact if batch.approximate is False else _verdict_any
+        verdicts, ratios = tuple(zip(*map(
+            judge, batch.left, batch.right, batch.data_jump))) or ((), ())
     max_ratio = max((r for r in ratios if r is not None), default=None)
     return SignReport(verdicts, ratios, verdicts.count("VIOLATION"), max_ratio)
 
@@ -487,11 +492,10 @@ def position_bounds(mesh, orders, kind="reconstruction"):
         for pos in range(p - 1 + shift, len(X) - p):
             factors, divisor = _bound_factors(X, pos, p, shift)
             # sum of f / d over the offsets, as num / den with den the
-            # least common multiple of the d
+            # product of the d, reduced once by quotient
             num, den = 0, 1
             for f, d in zip(factors, row[pos - p + 1:pos + 1]):
-                g = gcd(den, d)
-                num, den = num * (d // g) + f * (den // g), den * (d // g)
+                num, den = num * d + f * den, den * d
             at_p[pos] = quotient(power * num, den * divisor)
     return bounds
 

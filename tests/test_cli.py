@@ -317,6 +317,15 @@ def test_worst_case_bad_epsilon_exit_code(capsys, backend, epsilon):
     assert err == f"error: --epsilon: unparsable scalar {epsilon!r}\n"
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_worst_case_negative_epsilon_exit_code(capsys, backend):
+    code, out, err = run(capsys, "worst-case", "--order", "3", "--backend",
+                         backend, "--epsilon", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: epsilon must be >= 0\n"
+
+
 def test_fuzz_json_and_exit(capsys):
     code, out, _ = run(capsys, "fuzz", "--trials", "3", "--cells", "12",
                        "--orders", "1,2", "--seed", "11")

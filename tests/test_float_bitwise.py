@@ -1,15 +1,17 @@
-"""Bitwise pin of the binary64 trace path and telescoped oracle.
+"""Bitwise pin of the binary64 trace path, verdicts and telescoped oracle.
 
 The digests below hash every float trace of both kinds, p = 1..6, on fixed
 hard fields, every float summand the telescoped oracle gives for those
-traces, and every float divided difference of those fields. They change
-if the order of any float operation changes: in the divided differences
-(which start from the averages themselves in reconstruction and from the
-values in interpolation), the stencil comparisons, the trace products or
-the oracle's geometric factors. The table digest pins the divided
+traces, every float divided difference of those fields, and the float sign
+report of every trace batch: its verdicts, each ratio's bits and the
+largest ratio. They change if the order of any float operation changes:
+in the divided differences (which start from the averages themselves in
+reconstruction and from the values in interpolation), the stencil
+comparisons, the trace products, the oracle's geometric factors or the
+verdicts' tolerance test and ratios. The table digest pins the divided
 differences alone, so a change to the trace products moves only the
-trace digest. Trace products take their factors in the order the points
-entered the stencil, the order of NewtonPolynomial.value.
+trace and sign report digests. Trace products take their factors in the
+order the points entered the stencil, the order of NewtonPolynomial.value.
 
 Run this file as a script to print the current digests:
 
@@ -29,6 +31,7 @@ from enokit import CellAverageField, Mesh, PointValueField
 from enokit import interface_traces, midpoint_traces
 from enokit.numerics import level_table
 from enokit.stability import (
+    sign_report,
     telescoped_terms_interpolation,
     telescoped_terms_reconstruction,
 )
@@ -90,6 +93,21 @@ def _digest(kind):
     )) for _, _, _, traces in _traced(kind) for t in traces)
 
 
+def _hex(ratio):
+    return None if ratio is None else ratio.hex()
+
+
+def _report_digest(kind):
+    """Every float sign report of the fixed fields: the verdicts, each
+    ratio's float.hex and the largest ratio."""
+    lines = []
+    for _, _, _, traces in _traced(kind):
+        report = sign_report(traces)
+        lines.append(repr((report.verdicts, tuple(map(_hex, report.ratios)),
+                           _hex(report.max_ratio))))
+    return _sha(lines)
+
+
 def _level(kind):
     """The level the kind's data seed: averages 1, point values 0."""
     return 1 if kind == "reconstruction" else 0
@@ -149,8 +167,19 @@ def test_float_tables_are_bitwise_pinned(kind, expected):
     assert _table_digest(kind) == expected
 
 
+@pytest.mark.parametrize("kind, expected", [
+    ("reconstruction",
+     "2ad63a5e077302090bab3b95839d2ca174438b35f1ee082a4b96b126a92fcf76"),
+    ("interpolation",
+     "0f73b2c27e1581c1ce52200efba5350ed19be9e0f007a056f0ec3b4907433f1e"),
+])
+def test_float_sign_reports_are_bitwise_pinned(kind, expected):
+    assert _report_digest(kind) == expected
+
+
 if __name__ == "__main__":
     for name, digest in (("traces", _digest), ("oracle terms", _oracle_digest),
-                         ("tables", _table_digest)):
+                         ("tables", _table_digest),
+                         ("sign reports", _report_digest)):
         for kind in ("reconstruction", "interpolation"):
             print(f"{name:12} {kind:14} {digest(kind)}")

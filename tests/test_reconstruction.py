@@ -434,6 +434,36 @@ def test_orders_sharing_a_table_match_fresh_calls(kind, scalar):
         assert all(agrees)
 
 
+@pytest.mark.parametrize("scalar", [Fraction, float])
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_batch_signatures_follow_the_stage_columns(kind, scalar):
+    """Each anchor's signature offsets are the leftmost points of its
+    stage stencils less its own, lefts[j][i] - lefts[0][i], and anchors
+    with equal offsets share one signature object; p = 1..7 resumed on
+    one table."""
+    from enokit import midpoint_traces
+    from enokit.numerics import level_table
+
+    field, xs, values, level = _shared_table_field(kind, scalar)
+    traces_of = interface_traces if kind == "reconstruction" else midpoint_traces
+    table = level_table(xs, values, 7 + level, level)
+    for p in range(1, 8):
+        batch = traces_of(field, p, table=table)
+        lefts = table._eno_stages[level].lefts
+        assert len(lefts) == p
+        signatures = [*batch.left_signatures, batch.right_signatures[-1]]
+        assert all(right is left for right, left
+                   in zip(batch.right_signatures, signatures[1:]))
+        assert [s.offsets for s in signatures] == [
+            tuple(column[i] - lefts[0][i] for column in lefts)
+            for i in range(len(lefts[0]))]
+        shared = {}
+        for signature in signatures:
+            assert shared.setdefault(signature.offsets, signature) is signature
+        if p > 2:
+            assert len(shared) > 1
+
+
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
 def test_a_traced_table_needs_no_cycle_collector(kind):
     """The stage-wise state kept on a table holds no reference back to it,

@@ -35,7 +35,7 @@ from enokit import (
 import enokit.stability
 from enokit.harness import WIDTH_DENOMINATOR, FuzzConfig, _trial_inputs
 from enokit.numerics import EXACT
-from enokit.stability import telescoped_terms_reconstruction
+from enokit.stability import TraceBatch, telescoped_terms_reconstruction
 
 from conftest import random_fraction_mesh, random_int_values
 
@@ -111,6 +111,59 @@ def test_float_verdict_zero_data_jump_with_real_jump():
     report = sign_report([_trace(0.0, 1.0, 0.0)])
     assert report.verdicts == ("VIOLATION",)
     assert report.ratios == (None,)
+
+
+def _bits(ratio):
+    return None if ratio is None else ratio.hex()
+
+
+def _report_bits(report):
+    """A report with every float ratio as its float.hex."""
+    return (report.verdicts, tuple(map(_bits, report.ratios)),
+            report.violations, _bits(report.max_ratio))
+
+
+def test_float_batch_report_equals_the_trace_list_report():
+    """A float TraceBatch, judged column by column, reports exactly what
+    the list of its traces, judged one at a time, does: zero data jumps,
+    zero jumps and jumps inside FLOAT_SIGN_TOL included."""
+    rows = [
+        ((1.0, 1.0, 0.0), "Continuous", None),
+        ((1.0, 1.0, -0.0), "Continuous", None),
+        ((0.0, 1.0, 0.0), "VIOLATION", None),
+        ((0.0, 1e-30, -0.0), "VIOLATION", None),
+        ((1e5, 1e5 + 1e-9, 0.0), "Continuous", None),
+        ((2.5, 2.5, 3.0), "Continuous", 0.0),
+        ((2.5, 2.5, -3.0), "Continuous", -0.0),
+        ((1.0, 1.0 + 1e-15, -1.0), "Continuous", -(1e-15 + 1.0 - 1.0)),
+        ((1.0, 1.0 - 1e-15, 2.0), "Continuous", (1.0 - 1e-15 - 1.0) / 2.0),
+        ((1.0, 2.0, -1.0), "VIOLATION", -1.0),
+        ((1.0, 2.0, 4.0), "SameSign", 0.25),
+        ((-3.0, 5.0, 7.0), "SameSign", 8.0 / 7.0),
+    ]
+    left, right, d = zip(*(row for row, _, _ in rows))
+    n = len(rows)
+    batch = TraceBatch(range(n), range(n), left, right, d, [None] * n,
+                       [None] * n, True)
+    report = sign_report(batch)
+    assert report.verdicts == tuple(verdict for _, verdict, _ in rows)
+    assert _report_bits(report)[1] == tuple(_bits(r) for _, _, r in rows)
+    assert report.max_ratio == 8.0 / 7.0
+    assert _report_bits(report) == _report_bits(sign_report(list(batch)))
+    rng = random.Random(13)
+    xs = [0.0]
+    for _ in range(40):
+        xs.append(xs[-1] + rng.choice((0.1, 0.3, 1 / 3, 0.7)))
+    for data in ([float(rng.randint(-3, 3)) for _ in range(41)],
+                 [0.0 if i % 2 else 1.0 - 1e-9 for i in range(41)],
+                 [1e8 if i % 5 == 0 else 1.0 for i in range(41)]):
+        for p in range(1, 6):
+            for batch in (interface_traces(CellAverageField(Mesh(xs),
+                                                            data[:40]), p),
+                          midpoint_traces(PointValueField(xs, data), p)):
+                assert batch.approximate is True
+                assert _report_bits(sign_report(batch)) \
+                    == _report_bits(sign_report(list(batch)))
 
 
 def test_empty_report():
