@@ -1,10 +1,10 @@
 """Batch front end: CSV in, CSV or JSON reports out.
 
-Exit codes: 0 success, 2 malformed CSV, bad arguments or an unwritable
-output path (one-line diagnostic on stderr, line-numbered for CSV input),
-3 data window too small for the requested order, 4 violations found by
-verify or fuzz. Outputs are byte-stable for a fixed seed, backend, and
-argument set.
+Exit codes: 0 success, 2 malformed CSV, bad arguments, float data that
+overflow binary64 or an unwritable output path (one-line diagnostic on
+stderr, line-numbered for CSV input), 3 data window too small for the
+requested order, 4 violations found by verify or fuzz. Outputs are
+byte-stable for a fixed seed, backend, and argument set.
 """
 
 import argparse
@@ -151,13 +151,13 @@ def _trace_rows(traces, backend):
     labels = {signature: str(signature) for signature in
               {*traces.left_signatures, *traces.right_signatures}}
     rows = []
-    for x, left, right, d, left_sig, right_sig in zip(
+    for x, left, right, d, jump, left_sig, right_sig in zip(
             traces.location, traces.left, traces.right, traces.data_jump,
-            traces.left_signatures, traces.right_signatures):
+            traces.jumps, traces.left_signatures, traces.right_signatures):
         if d == 0:
             ratio = "CONT"
         else:
-            ratio = backend.serialize(quotient(right - left, d))
+            ratio = backend.serialize(quotient(jump, d))
         rows.append((
             backend.serialize(x),
             backend.serialize(left),

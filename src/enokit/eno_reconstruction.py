@@ -23,6 +23,7 @@ from .numerics import (
     CELL,
     NODE,
     check_depth,
+    check_finite_column,
     divided_difference_table,
     float_entry,
     promote_integers,
@@ -247,7 +248,8 @@ def _stages(table, coords, p, shift):
 
 def _traces(coords, data, p, table, shift):
     """Order-p TraceBatch of data of level `shift` over coords: the body
-    of interface_traces (CELL) and midpoint_traces (NODE)."""
+    of interface_traces (CELL) and midpoint_traces (NODE). Float traces
+    or data jumps that overflow to NaN or +-inf raise NonFiniteValue."""
     if p < 1:
         raise ValueError("order must be >= 1")
     n = len(data)
@@ -264,12 +266,17 @@ def _traces(coords, data, p, table, shift):
     state = _stages(table, X, p, shift)
     signatures = _signatures(state.lefts)
     left, right = state.sums
+    data_jump = [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])]
+    if approximate:
+        for what, column in (("left trace", left), ("right trace", right),
+                             ("data jump", data_jump)):
+            check_finite_column(column, f"float overflow: {what}")
     return TraceBatch(
         range(p - 1 + shift, n - p + shift),
         state.location[p - 1 + shift:n - p + shift],
         left,
         right,
-        [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])],
+        data_jump,
         signatures[:-1],
         signatures[1:],
         approximate,

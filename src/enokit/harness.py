@@ -19,8 +19,10 @@ from .eno_reconstruction import interface_traces
 from .errors import InvalidMesh, ShapeError, StencilOutOfRange
 from .grid import CellAverageField, Mesh, PointValueField
 from .numerics import (
+    CELL,
     EXACT,
     FLOAT,
+    NODE,
     float_entry,
     get_backend,
     is_float_data,
@@ -31,8 +33,7 @@ from .stability import (
     position_bounds,
     relative_jump,
     sign_report,
-    telescoped_jump_interpolation,
-    telescoped_jump_reconstruction,
+    telescoped_jumps,
     trace_columns,
 )
 
@@ -105,9 +106,11 @@ def check_orders(field, orders):
     over the coordinates' grid_integers when they have them.
     The distinct orders are traced in ascending order, so each resumes the
     stage-wise selection and evaluation the previous one left on the
-    table. Yields (p, traces, sign_report(traces), agrees) in the order
-    given, where traces is a TraceBatch and agrees[i] says whether the
-    telescoped jump equals traces[i].jump: exactly for exact data, within
+    table. Each order is one columnar pass: `telescoped_jumps` gives the
+    oracle's column, and it and the verdicts read the batch's `jumps`.
+    Yields (p, traces, sign_report(traces), agrees) in the order given,
+    where traces is a TraceBatch and agrees[i] says whether the telescoped
+    jump equals traces.jumps[i]: exactly for exact data, within
     ORACLE_FLOAT_TOL of its scale for float data. Raises StencilOutOfRange,
     before yielding anything, when an order does not fit the data.
     """
@@ -115,28 +118,23 @@ def check_orders(field, orders):
     if not orders:
         return
     if isinstance(field, CellAverageField):
-        coords, data, level = field.mesh.interfaces, field.averages, 1
-        traces_of, telescoped = interface_traces, telescoped_jump_reconstruction
+        coords, data, shift = field.mesh.interfaces, field.averages, CELL
     else:
-        coords, data, level = field.nodes, field.values, 0
-        traces_of, telescoped = midpoint_traces, telescoped_jump_interpolation
+        coords, data, shift = field.nodes, field.values, NODE
+    traces_of = interface_traces if shift == CELL else midpoint_traces
     coords, data, approximate = float_entry(coords, data)
-    table = trace_table(coords, data, min(max(orders) + level, len(coords) - 1),
-                        level, approximate)
+    table = trace_table(coords, data, min(max(orders) + shift, len(coords) - 1),
+                        shift, approximate)
     checked = {}
     for p in sorted(set(orders)):
         traces = trace_columns(traces_of(field, p, table=table))
-        # The oracle reads only the table, so it is given no source field.
-        pairs = [(telescoped(None, left_sig, right_sig, index, p, table=table),
-                  right - left)
-                 for index, left, right, left_sig, right_sig in zip(
-                     traces.index, traces.left, traces.right,
-                     traces.left_signatures, traces.right_signatures)]
+        telescoped = telescoped_jumps(table, traces, p, shift)
         if approximate:
             agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
-                      for tele, jump in pairs]
+                      for tele, jump in zip(telescoped, traces.jumps)]
         else:
-            agrees = [tele == jump for tele, jump in pairs]
+            agrees = [tele == jump
+                      for tele, jump in zip(telescoped, traces.jumps)]
         checked[p] = p, traces, sign_report(traces), agrees
     for p in orders:
         yield checked[p]

@@ -194,6 +194,14 @@ def check_finite(values, what, indices=None):
             raise NonFiniteValue(f"{what} {k} is {v!r}")
 
 
+def check_finite_column(column, what):
+    """Reject NaN and +-inf in a float column: one C-level sum, and an entry
+    scan only when the sum is not finite, which finite entries can also
+    make by overflowing it."""
+    if not isfinite(sum(column)):
+        check_finite(column, what)
+
+
 def check_increasing(coords, what):
     """Strictly increasing coordinates with finite ends.
 
@@ -313,15 +321,19 @@ def level_table(points, values, max_order, order=0):
 def trace_table(points, values, max_order, order=0, approximate=False):
     """The table the trace and check code builds for itself.
 
-    Approximate data, all float from float_entry, are taken as they are.
+    Approximate data, all float from float_entry, are taken as they are;
+    levels they overflow to NaN or +-inf raise NonFiniteValue.
     Exact points whose gaps lie on one grid become their grid_integers,
     which keep every product of coordinate differences an int; any other
     points go to level_table. The divided differences are taken over the
     points the table holds, so both give the same stencils and traces.
     """
     if approximate:
-        return DividedDifferenceTable(points, divided_difference_levels(
-            points, values, max_order, order))
+        levels = divided_difference_levels(points, values, max_order, order)
+        # A NaN or infinity at one level makes NaN or infinities at every
+        # level above it, so the top level shows an overflow anywhere.
+        check_finite_column(levels[-1], f"float overflow: level-{max_order} entry")
+        return DividedDifferenceTable(points, levels)
     ints = grid_integers(points)
     if ints is None:
         return level_table(points, values, max_order, order)

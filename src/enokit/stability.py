@@ -12,6 +12,7 @@ be polluted by round-off in the bound itself.
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, lcm
 
 from .errors import StencilOutOfRange
@@ -66,7 +67,8 @@ class TraceBatch:
     those traces: len, integer (also negative) indexing and iteration
     build InterfaceTrace objects only for the elements asked for.
     `approximate` is True for binary64 data, False for exact data, and
-    None when the verdicts must look at each trace's scalars.
+    None when the verdicts must look at each trace's scalars. `jumps`, the
+    column right - left, is built once, on first read.
     """
 
     index: object
@@ -77,6 +79,10 @@ class TraceBatch:
     left_signatures: object
     right_signatures: object
     approximate: object = None
+
+    @cached_property
+    def jumps(self):
+        return list(map(operator.sub, self.right, self.left))
 
     def __len__(self):
         return len(self.index)
@@ -142,8 +148,7 @@ def relative_jump(trace):
     return quotient(trace.jump, trace.data_jump)
 
 
-def _verdict_exact(left, right, d):
-    jump = right - left
+def _verdict_exact(jump, d):
     if d == 0:
         if jump == 0:
             return "Continuous", None
@@ -178,7 +183,7 @@ def _verdict_any(left, right, d):
     if is_float_data((left, right, d)):
         (verdict,), (ratio,) = _float_verdicts((left,), (right,), (d,))
         return verdict, ratio
-    return _verdict_exact(left, right, d)
+    return _verdict_exact(right - left, d)
 
 
 def sign_report(traces):
@@ -187,16 +192,18 @@ def sign_report(traces):
     Exact scalars get strict verdicts; float scalars tolerate wrong-signed
     jumps up to FLOAT_SIGN_TOL times the local scale before flagging, so
     round-off is not reported as a violation. `traces` is a TraceBatch or
-    any iterable of InterfaceTrace. A float batch is judged column-wise.
+    any iterable of InterfaceTrace. A float batch is judged column-wise,
+    an exact one on its `jumps`, any other trace by trace.
     """
     batch = trace_columns(traces)
     if batch.approximate:
         verdicts, ratios = map(tuple, _float_verdicts(
             batch.left, batch.right, batch.data_jump))
     else:
-        judge = _verdict_exact if batch.approximate is False else _verdict_any
-        verdicts, ratios = tuple(zip(*map(
-            judge, batch.left, batch.right, batch.data_jump))) or ((), ())
+        judged = (map(_verdict_exact, batch.jumps, batch.data_jump)
+                  if batch.approximate is False else
+                  map(_verdict_any, batch.left, batch.right, batch.data_jump))
+        verdicts, ratios = tuple(zip(*judged)) or ((), ())
     max_ratio = max((r for r in ratios if r is not None), default=None)
     return SignReport(verdicts, ratios, verdicts.count("VIOLATION"), max_ratio)
 
@@ -232,42 +239,59 @@ def _window_products(X, x, skip, w, starts):
     return products
 
 
-def _telescoped_terms(source, table, left_signature, right_signature,
-                      left_anchor, p, shift):
-    """Summands of the telescoped jump between anchors left_anchor and
-    left_anchor+1: the level-(p+shift) divided differences of `source` (the
-    primitive for shift = CELL, the field for NODE) times their window
-    products at the breakpoint."""
+def _telescoped_terms(source, table, left_signatures, right_signatures,
+                      indices, p, shift):
+    """Summands of the telescoped jump at each breakpoint `indices` (as in
+    a TraceBatch; left anchor index - shift), one list each: the
+    level-(p+shift) divided differences of `source` (the primitive for
+    shift = CELL, the field for NODE) times their window products."""
     w = p + shift
     if table is None:
         table = divided_difference_table(source.nodes, source.values,
                                          max_order=w)
     check_depth(table, p, w)
     X = table.points
-    lo = left_anchor + _offsets(left_signature)[-1]
-    hi = left_anchor + _offsets(right_signature)[-1]
-    sign = 1
-    if lo > hi + 1:
-        lo, hi, sign = hi + 1, lo - 1, -1
-    if lo > hi:
-        return []
-    if lo < 0 or hi + w > len(X) - 1:
-        raise StencilOutOfRange(
-            f"telescoped sum needs points {lo}..{hi + w}; have 0..{len(X) - 1}"
-        )
-    x, skip = _breakpoint(X, left_anchor, shift)
-    products = _window_products(X, x, skip, w, range(lo, hi + 1))
-    terms = list(map(operator.mul, table.levels[w][lo:hi + 1], products))
-    return terms if sign == 1 else [-term for term in terms]
+    level = table.levels[w]
+    for left_signature, right_signature, index in zip(
+            left_signatures, right_signatures, indices):
+        left_anchor = index - shift
+        lo = left_anchor + _offsets(left_signature)[-1]
+        hi = left_anchor + _offsets(right_signature)[-1]
+        sign = 1
+        if lo > hi + 1:
+            lo, hi, sign = hi + 1, lo - 1, -1
+        if lo > hi:
+            yield []
+            continue
+        if lo < 0 or hi + w > len(X) - 1:
+            raise StencilOutOfRange(
+                f"telescoped sum needs points {lo}..{hi + w}; have 0..{len(X) - 1}"
+            )
+        x, skip = _breakpoint(X, left_anchor, shift)
+        products = _window_products(X, x, skip, w, range(lo, hi + 1))
+        terms = list(map(operator.mul, level[lo:hi + 1], products))
+        yield terms if sign == 1 else [-term for term in terms]
 
 
 def _left_to_right_sum(terms):
     # Not sum(): from Python 3.12 on it compensates float rounding, and
-    # the float bits of the telescoped jumps are pinned to plain addition.
-    total = 0
+    # the float bits are pinned to plain addition from 0, whose bits this
+    # gives but for the sign of a zero sum, which adding 0 restores.
+    terms = iter(terms)
+    total = next(terms, 0)
     for term in terms:
         total = total + term
-    return total
+    return total if total else total + 0
+
+
+def telescoped_jumps(table, traces, p, shift):
+    """Telescoped jump at every breakpoint of a TraceBatch, in one pass
+    over the table and the batch's signatures, never its traces: the
+    column of telescoped_jump_reconstruction (shift = CELL) or
+    telescoped_jump_interpolation (NODE) on that table."""
+    return list(map(_left_to_right_sum, _telescoped_terms(
+        None, table, traces.left_signatures, traces.right_signatures,
+        traces.index, p, shift)))
 
 
 def telescoped_terms_reconstruction(primitive, left_signature, right_signature,
@@ -280,8 +304,8 @@ def telescoped_terms_reconstruction(primitive, left_signature, right_signature,
     the right stencil starts left of the left one (possible only for
     hand-crafted signatures), the summands flip sign.
     """
-    return _telescoped_terms(primitive, table, left_signature,
-                             right_signature, interface - 1, p, CELL)
+    return next(_telescoped_terms(primitive, table, (left_signature,),
+                                  (right_signature,), (interface,), p, CELL))
 
 
 def telescoped_jump_reconstruction(primitive, left_signature, right_signature,
@@ -304,8 +328,8 @@ def telescoped_terms_interpolation(field, left_signature, right_signature,
     the evaluation point. On a table over grid_integers the midpoint is
     an int.
     """
-    return _telescoped_terms(field, table, left_signature, right_signature,
-                             midpoint, p, NODE)
+    return next(_telescoped_terms(field, table, (left_signature,),
+                                  (right_signature,), (midpoint,), p, NODE))
 
 
 def telescoped_jump_interpolation(field, left_signature, right_signature,

@@ -177,14 +177,35 @@ def test_verify_flags_planted_violation(capsys, points_csv, monkeypatch):
 
     monkeypatch.setattr(harness_mod, "midpoint_traces", planted)
     monkeypatch.setattr(
-        harness_mod, "telescoped_jump_interpolation",
-        lambda *a, **k: -1.0,
+        harness_mod, "telescoped_jumps",
+        lambda *a, **k: [-1.0],
     )
     code, out, _ = run(capsys, "verify", "--input", points_csv, "--order",
                        "2", "--kind", "interpolation")
     assert code == 4
     payload = json.loads(out)
     assert payload["violations"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("reconstruct",), ("verify",), ("interpolate",),
+    ("verify", "--kind", "interpolation"),
+])
+def test_float_overflow_exit_code(capsys, tmp_path, command):
+    """Averages or values of +-1e308 overflow their differences in binary64:
+    exit 2 with an error line, not rows or verdicts of inf and nan."""
+    path = tmp_path / "overflow.csv"
+    if command[0] == "interpolate" or "interpolation" in command:
+        path.write_text("x,value\n" + "".join(
+            f"{i},{(-1) ** i}e308\n" for i in range(5)))
+    else:
+        path.write_text("x_left,x_right,avg\n" + "".join(
+            f"{i},{i + 1},{(-1) ** i}e308\n" for i in range(5)))
+    code, out, err = run(capsys, *command, "--input", str(path), "--order",
+                         "2", "--backend", "float")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float overflow:")
 
 
 @pytest.mark.parametrize("order", ["3", "6"])

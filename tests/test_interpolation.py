@@ -234,7 +234,7 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     assert [repr(t) for t in batch] == [repr(t) for t in expected]
     for column, name in [
             ("index", "index"), ("location", "location"), ("left", "left"),
-            ("right", "right"), ("data_jump", "data_jump"),
+            ("right", "right"), ("data_jump", "data_jump"), ("jumps", "jump"),
             ("left_signatures", "left_signature"),
             ("right_signatures", "right_signature")]:
         assert list(getattr(batch, column)) == [getattr(t, name) for t in batch]

@@ -348,7 +348,7 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     assert [repr(t) for t in batch] == [repr(t) for t in expected]
     for column, name in [
             ("index", "index"), ("location", "location"), ("left", "left"),
-            ("right", "right"), ("data_jump", "data_jump"),
+            ("right", "right"), ("data_jump", "data_jump"), ("jumps", "jump"),
             ("left_signatures", "left_signature"),
             ("right_signatures", "right_signature")]:
         assert list(getattr(batch, column)) == [getattr(t, name) for t in batch]
@@ -606,3 +606,28 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     on_grid = mesh != "off-grid"
     assert all((type(x) is int) == on_grid
                for table in built for x in table.points)
+
+
+@pytest.mark.parametrize("scale, data, p, column", [
+    (1.0, 1e308, 1, "data jump"),
+    (1.0, 1e308, 2, "level-"),
+    (1e160, 1.0, 3, "left trace"),
+    (1e120, 1.0, 4, "left trace"),
+])
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_float_overflow_is_a_non_finite_value(kind, scale, data, p, column):
+    """Finite binary64 input whose differences or products overflow raises
+    NonFiniteValue, naming the column, and never becomes traces of inf or
+    NaN: data jumps of +-2e308, a table level of -inf, and traces
+    whose stage products overflow on a mesh of widths `scale`."""
+    from enokit import NonFiniteValue, PointValueField, midpoint_traces
+
+    xs = [k * scale for k in range(13)]
+    values = [(-1) ** k * data for k in range(13)]
+    if kind == "reconstruction":
+        field, traces_of = CellAverageField(Mesh(xs), values[:12]), \
+            interface_traces
+    else:
+        field, traces_of = PointValueField(xs, values), midpoint_traces
+    with pytest.raises(NonFiniteValue, match=f"float overflow: {column}"):
+        traces_of(field, p)

@@ -340,6 +340,99 @@ def test_a_shallow_oracle_table_is_a_value_error():
     assert jump == telescoped_jump_interpolation(points, left, right, 5, 3)
 
 
+def _oracle_meshes(rng, n):
+    """A mesh of thirds, sevenths and tenths (no common grid) and one of
+    sixteenths (on a grid), n cells each."""
+    meshes = []
+    for dens in ((3, 7, 10), (16,)):
+        xs = [Fraction(0)]
+        for _ in range(n):
+            xs.append(xs[-1] + Fraction(rng.randint(1, 12), rng.choice(dens)))
+        meshes.append(xs)
+    return meshes
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_columnar_oracle_equals_the_per_breakpoint_oracle(kind, scalar):
+    """telescoped_jumps gives, in one pass per order, what telescoped_jump_*
+    give one breakpoint at a time on the same table, and what a sum of
+    telescoped_terms_* started at 0 gives: exactly in rationals, bit for
+    bit in floats (repr keeps the type and the sign of a zero). Hand-made
+    plain-tuple signatures reach the reversed and the empty sum; on zero
+    data a reversed sum of -0.0 terms is +0.0."""
+    from dataclasses import replace
+    from functools import reduce
+    from operator import add
+
+    from enokit.numerics import CELL, NODE, float_entry, trace_table
+    from enokit.stability import (
+        telescoped_jumps,
+        telescoped_terms_interpolation,
+    )
+
+    rng = random.Random(23)
+    n = 30
+    if kind == "reconstruction":
+        shift, count, traces_of = CELL, n, interface_traces
+        jump_of = telescoped_jump_reconstruction
+        terms_of = telescoped_terms_reconstruction
+    else:
+        shift, count, traces_of = NODE, n + 1, midpoint_traces
+        jump_of = telescoped_jump_interpolation
+        terms_of = telescoped_terms_interpolation
+    seen = set()
+    for xs in _oracle_meshes(rng, n):
+        for data in (random_int_values(rng, count), [0] * count):
+            xs_s, data_s = [scalar(x) for x in xs], [scalar(v) for v in data]
+            if kind == "reconstruction":
+                field = CellAverageField(Mesh(xs_s), data_s)
+            else:
+                field = PointValueField(xs_s, data_s)
+            coords, values, approximate = float_entry(xs_s, data_s)
+            table = trace_table(coords, values, 6 + shift, shift, approximate)
+            for p in range(1, 7):
+                batch = traces_of(field, p, table=table)
+                tuples = _all_offset_tuples(p)
+                crafted = replace(
+                    batch,
+                    left_signatures=[rng.choice(tuples) for _ in batch.index],
+                    right_signatures=[rng.choice(tuples) for _ in batch.index])
+                for traces in (batch, crafted):
+                    got = telescoped_jumps(table, traces, p, shift)
+                    columns = list(zip(traces.left_signatures,
+                                       traces.right_signatures, traces.index))
+                    want = [jump_of(None, left, right, index, p, table=table)
+                            for left, right, index in columns]
+                    terms = [terms_of(None, left, right, index, p, table=table)
+                             for left, right, index in columns]
+                    assert list(map(repr, got)) == list(map(repr, want))
+                    assert list(map(repr, got)) == [
+                        repr(reduce(add, t, 0)) for t in terms]
+                    if traces is batch and scalar is Fraction:
+                        assert got == batch.jumps
+                    for (left, right, _), t in zip(columns, terms):
+                        offset = _offsets_of(left)[-1] - _offsets_of(right)[-1]
+                        if offset > 1:
+                            seen.add("reversed")
+                            if t and all(math.copysign(1.0, x) < 0 for x in t):
+                                seen.add("-0.0 terms")
+                        elif offset == 1:
+                            seen.add("empty")
+                        if type(left) is tuple:
+                            seen.add("tuple")
+                    if not any(data) and scalar is float:
+                        assert all(math.copysign(1.0, j) == 1.0 for j in got)
+    want_seen = {"reversed", "empty", "tuple"}
+    if scalar is float:
+        want_seen.add("-0.0 terms")
+    assert seen >= want_seen
+
+
+def _offsets_of(signature):
+    return tuple(getattr(signature, "offsets", signature))
+
+
 def test_uniform_closed_forms():
     assert [uniform_bound_Cp(p) for p in range(1, 7)] == T1
     assert [uniform_bound_cp(p) for p in range(1, 7)] == T2
