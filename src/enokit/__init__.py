@@ -29,8 +29,6 @@ from .grid import (
     CellAverageField,
     Mesh,
     PointValueField,
-    first_dd_is_average,
-    first_divided_differences,
     periodic_extension,
     periodic_extension_points,
     primitive_from_averages,
@@ -93,8 +91,6 @@ __all__ = [
     "CellAverageField",
     "Mesh",
     "PointValueField",
-    "first_dd_is_average",
-    "first_divided_differences",
     "periodic_extension",
     "periodic_extension_points",
     "primitive_from_averages",

@@ -31,7 +31,6 @@ from .stability import (
     bound_cp,
     relative_jump,
     sign_report,
-    trace_columns,
     uniform_bound_Cp,
     uniform_bound_cp,
 )
@@ -147,7 +146,6 @@ def _write_text(path, text):
 
 
 def _trace_rows(traces, backend):
-    traces = trace_columns(traces)
     labels = {signature: str(signature) for signature in
               {*traces.left_signatures, *traces.right_signatures}}
     rows = []

@@ -14,7 +14,7 @@ from .eno_reconstruction import (
     _newton_form,
     _traces,
 )
-from .numerics import divided_difference_table
+from .numerics import field_table
 
 # Interpolation signatures are stencil signatures anchored at nodes.
 PointSignature = StencilSignature
@@ -32,7 +32,9 @@ def select_signature_pointwise(field, node, p, table=None):
         node: anchor node index.
         p: stencil order (node count), >= 1.
         table: optional DividedDifferenceTable of the field with
-            max_order >= p-1, reused across nodes.
+            max_order >= p-1, reused across nodes. Without one the call
+            builds field_table(field, p - 1, NODE), so the stencils are
+            the ones midpoint_traces picks.
 
     Raises:
         StencilOutOfRange: the candidate window leaves the data.
@@ -40,8 +42,7 @@ def select_signature_pointwise(field, node, p, table=None):
     """
     _check_window(len(field.nodes), node, p, NODE)
     if table is None:
-        table = divided_difference_table(field.nodes, field.values,
-                                         max_order=p - 1)
+        table = field_table(field, p - 1, NODE)
     return _anchor_signature(table, node, p, NODE)
 
 
@@ -54,8 +55,7 @@ def interpolant_at_node(field, node, p, table=None):
     """
     _check_window(len(field.nodes), node, p, NODE)
     if table is None:
-        table = divided_difference_table(field.nodes, field.values,
-                                         max_order=p - 1)
+        table = field_table(field, p - 1, NODE)
     signature = select_signature_pointwise(field, node, p, table=table)
     return _newton_form(table, node, signature.offsets, NODE,
                         table.levels[0][node])

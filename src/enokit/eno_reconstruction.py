@@ -24,7 +24,7 @@ from .numerics import (
     NODE,
     check_depth,
     check_finite_column,
-    divided_difference_table,
+    field_table,
     float_entry,
     promote_integers,
     quotient,
@@ -374,20 +374,24 @@ def select_signature(primitive, cell, p, table=None):
     stencil. Deterministic.
 
     Args:
-        primitive: PointValueField of running-integral samples.
+        primitive: PointValueField of running-integral samples, from
+            primitive_from_averages.
         cell: index of the cell (its left interface in the primitive).
         p: stencil order, >= 1.
-        table: optional precomputed DividedDifferenceTable of the
-            primitive with max_order >= p, reused across cells.
+        table: optional precomputed DividedDifferenceTable over the
+            primitive's nodes with max_order >= p, reused across cells.
+            Without one the call builds field_table(primitive, p, CELL),
+            the averages' own table, so the stencils are the ones
+            interface_traces picks.
 
     Raises:
         StencilOutOfRange: the candidate window leaves the data.
         ValueError: the table's max_order is below p.
+        TypeError: no table, and a primitive without averages.
     """
     _check_window(len(primitive.nodes), cell, p, CELL)
     if table is None:
-        table = divided_difference_table(primitive.nodes, primitive.values,
-                                         max_order=p)
+        table = field_table(primitive, p, CELL)
     return _anchor_signature(table, cell, p, CELL)
 
 
@@ -395,26 +399,24 @@ def newton_interpolant(primitive, signature, cell, table=None):
     """Newton form of the primitive's interpolant over the final stencil.
 
     Points are ordered by the stage at which the signature brought them
-    in, so coefficient j is exactly the stage-j divided difference. A
-    table built from the averages has no level 0; the constant term is
-    then the primitive's own value at the cell.
+    in, so coefficient j is exactly the stage-j divided difference. The
+    constant term is the primitive's own value at the cell, so the table,
+    by default field_table(primitive, p, CELL), needs no level 0.
     """
     p = signature.order
     _check_window(len(primitive.nodes), cell, p, CELL)
     if table is None:
-        table = divided_difference_table(primitive.nodes, primitive.values,
-                                         max_order=p)
+        table = field_table(primitive, p, CELL)
     check_depth(table, p, p)
-    constant = (primitive.values[cell] if table.levels[0] is None
-                else table.levels[0][cell])
-    return _newton_form(table, cell, signature.offsets, CELL, constant)
+    return _newton_form(table, cell, signature.offsets, CELL,
+                        primitive.values[cell])
 
 
 def reconstruct_cell(primitive, cell, p, table=None):
-    """Select the cell's stencil and differentiate its interpolant."""
+    """Select the cell's stencil and differentiate its interpolant, both on
+    one table: by default field_table(primitive, p, CELL)."""
     if table is None:
-        table = divided_difference_table(primitive.nodes, primitive.values,
-                                         max_order=p)
+        table = field_table(primitive, p, CELL)
     signature = select_signature(primitive, cell, p, table=table)
     return CellPolynomial(cell, newton_interpolant(primitive, signature, cell,
                                                    table=table))

@@ -2,9 +2,11 @@
 
 The primitive of a cell-average field is its cumulative integral sampled at
 the mesh interfaces; its first divided differences give back the averages.
-The trace and check code uses that identity directly and starts its
-divided-difference tables from the averages, so it builds no primitive; the
-per-cell API (select_signature, reconstruct_cell, ...) still takes one.
+Every divided-difference table of cells starts from the averages at level
+1 (numerics.field_table and trace_table), so the trace and check code
+builds no primitive. The per-cell API (select_signature, reconstruct_cell,
+...) takes one for its nodes and values, and builds its table from the
+averages it carries.
 """
 
 from .errors import InvalidMesh, ShapeError
@@ -80,24 +82,6 @@ class PointValueField:
 
 # ---- Primitive bridge ----
 
-def primitive_floats(interfaces, averages, base=0.0):
-    """Compensated (Neumaier) running integral of cellwise-constant floats."""
-    values = [0.0] * (len(averages) + 1)
-    values[0] = base
-    s = base
-    comp = 0.0
-    for i in range(len(averages)):
-        term = (interfaces[i + 1] - interfaces[i]) * averages[i]
-        t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-        values[i + 1] = s + comp
-    return values
-
-
 def primitive_from_averages(field, base=0):
     """Cumulative integral of the field, sampled at the mesh interfaces.
 
@@ -108,49 +92,23 @@ def primitive_from_averages(field, base=0):
 
     Returns:
         PointValueField on the interfaces with values[0] == base and
-        values[j+1] - values[j] == width(j) * averages[j]. Float data uses
-        compensated summation; exact data sums exactly.
+        values[j+1] == values[j] + width(j) * averages[j], summed left to
+        right, all in float when the mesh, the averages or base holds a
+        float. Its `averages` are the averages summed, in the same
+        scalars: the per-cell API and the oracle build their table from
+        them.
     """
     X = field.mesh.interfaces
     avgs = field.averages
     if is_float_data(avgs) or is_float_data(X) or isinstance(base, float):
-        xs = [float(x) for x in X]
-        values = primitive_floats(xs, [float(a) for a in avgs], float(base))
-        return PointValueField(xs, values)
+        X, avgs = tuple(map(float, X)), tuple(map(float, avgs))
+        base = float(base)
     values = [base]
     for i in range(len(avgs)):
         values.append(values[-1] + (X[i + 1] - X[i]) * avgs[i])
-    return PointValueField(X, values)
-
-
-def first_divided_differences(primitive):
-    """First divided differences of a point-value field, window by window."""
-    xs = promote_integers(primitive.nodes)
-    vs = promote_integers(primitive.values)
-    return [
-        (vs[k + 1] - vs[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)
-    ]
-
-
-def first_dd_is_average(primitive, field, rel_tol=1e-12):
-    """Check that the primitive's first divided differences are the averages.
-
-    Exact scalars are compared exactly; float scalars within rel_tol of the
-    average's scale (with a floor of 1).
-    """
-    dds = first_divided_differences(primitive)
-    if len(dds) != len(field.averages):
-        raise ShapeError(
-            f"{len(dds)} cells in the primitive but {len(field.averages)} averages"
-        )
-    approximate = is_float_data(primitive.values) or is_float_data(field.averages)
-    for dd, avg in zip(dds, field.averages):
-        if approximate:
-            if abs(dd - avg) > rel_tol * max(1.0, abs(avg)):
-                return False
-        elif dd != avg:
-            return False
-    return True
+    primitive = PointValueField(X, values)
+    primitive.averages = avgs
+    return primitive
 
 
 # ---- Periodic extension ----

@@ -34,7 +34,6 @@ from .stability import (
     relative_jump,
     sign_report,
     telescoped_jumps,
-    trace_columns,
 )
 
 ORACLE_FLOAT_TOL = 1e-9
@@ -127,7 +126,7 @@ def check_orders(field, orders):
                         shift, approximate)
     checked = {}
     for p in sorted(set(orders)):
-        traces = trace_columns(traces_of(field, p, table=table))
+        traces = traces_of(field, p, table=table)
         telescoped = telescoped_jumps(table, traces, p, shift)
         if approximate:
             agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))

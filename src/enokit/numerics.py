@@ -318,6 +318,25 @@ def level_table(points, values, max_order, order=0):
         points, promote_integers(values), max_order, order))
 
 
+def field_table(field, max_order, shift):
+    """The divided-difference table of a field, the one every entry point
+    given no table builds: a PointValueField's values at level 0 (shift =
+    NODE), or a primitive's averages at level 1 (CELL), over its nodes,
+    all float when either holds a float (float_entry). The table is in
+    the field's coordinates, so per-anchor polynomials are too.
+
+    Raises:
+        TypeError: a CELL field without averages, which only
+            primitive_from_averages gives a PointValueField.
+    """
+    data = field.values if shift == NODE else getattr(field, "averages", None)
+    if data is None:
+        raise TypeError("the primitive carries no averages; build it with "
+                        "primitive_from_averages")
+    coords, data, _ = float_entry(field.nodes, data)
+    return level_table(coords, data, max_order, shift)
+
+
 def trace_table(points, values, max_order, order=0, approximate=False):
     """The table the trace and check code builds for itself.
 

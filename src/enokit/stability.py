@@ -22,7 +22,7 @@ from .numerics import (
     NODE,
     check_depth,
     check_increasing,
-    divided_difference_table,
+    field_table,
     halfway,
     is_float_data,
     quotient,
@@ -244,11 +244,12 @@ def _telescoped_terms(source, table, left_signatures, right_signatures,
     """Summands of the telescoped jump at each breakpoint `indices` (as in
     a TraceBatch; left anchor index - shift), one list each: the
     level-(p+shift) divided differences of `source` (the primitive for
-    shift = CELL, the field for NODE) times their window products."""
+    shift = CELL, the field for NODE) times their window products. With
+    no table they come from field_table(source, p + shift, shift), the
+    table the trace batch starts from."""
     w = p + shift
     if table is None:
-        table = divided_difference_table(source.nodes, source.values,
-                                         max_order=w)
+        table = field_table(source, w, shift)
     check_depth(table, p, w)
     X = table.points
     level = table.levels[w]

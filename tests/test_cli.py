@@ -170,10 +170,11 @@ def test_verify_interpolation_kind(capsys, points_csv):
 
 def test_verify_flags_planted_violation(capsys, points_csv, monkeypatch):
     import enokit.harness as harness_mod
-    from enokit import InterfaceTrace
+    from enokit import InterfaceTrace, trace_columns
 
     def planted(field, p, table=None):
-        return [InterfaceTrace(1, 1.5, 1.0, 0.0, 1.0, (0, 0), (0, 0))]
+        return trace_columns(
+            [InterfaceTrace(1, 1.5, 1.0, 0.0, 1.0, (0, 0), (0, 0))])
 
     monkeypatch.setattr(harness_mod, "midpoint_traces", planted)
     monkeypatch.setattr(

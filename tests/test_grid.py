@@ -13,8 +13,6 @@ from enokit import (
     NonFiniteValue,
     PointValueField,
     ShapeError,
-    first_dd_is_average,
-    first_divided_differences,
     periodic_extension,
     periodic_extension_points,
     primitive_from_averages,
@@ -90,20 +88,34 @@ def test_primitive_first_dd_recovers_averages_exact():
     rng = random.Random(7)
     xs = random_fraction_mesh(rng, 13)
     avgs = [Fraction(v, rng.randint(1, 5)) for v in random_int_values(rng, 12)]
-    field = CellAverageField(Mesh(xs), avgs)
-    prim = primitive_from_averages(field)
-    assert first_divided_differences(prim) == avgs
-    assert first_dd_is_average(prim, field)
+    prim = primitive_from_averages(CellAverageField(Mesh(xs), avgs))
+    vs = prim.values
+    assert [(vs[k + 1] - vs[k]) / (xs[k + 1] - xs[k])
+            for k in range(12)] == avgs
+    assert prim.averages == tuple(avgs)
 
 
-def test_primitive_first_dd_recovers_averages_float():
+def test_float_primitive_is_the_running_sum_from_base():
+    """A float primitive is the plain left-to-right running sum of width
+    times average from base, and keeps its averages as floats."""
     rng = random.Random(8)
     xs = [0.0]
     for _ in range(12):
         xs.append(xs[-1] + rng.uniform(0.5, 2.0))
     avgs = [rng.uniform(-8, 8) for _ in range(12)]
-    field = CellAverageField(Mesh(xs), avgs)
-    assert first_dd_is_average(primitive_from_averages(field), field)
+    mixed = CellAverageField(Mesh([Fraction(x) for x in xs]), avgs)
+    for base in (0, 0.1, Fraction(1, 3)):
+        prim = primitive_from_averages(CellAverageField(Mesh(xs), avgs), base)
+        total = float(base)
+        expected = [total]
+        for k in range(12):
+            total = total + (xs[k + 1] - xs[k]) * avgs[k]
+            expected.append(total)
+        assert list(map(float.hex, prim.values)) \
+            == list(map(float.hex, expected))
+        assert prim.nodes == tuple(xs)
+        assert prim.averages == tuple(avgs)
+        assert primitive_from_averages(mixed, base).values == prim.values
 
 
 @given(st.integers(0, 10 ** 6))

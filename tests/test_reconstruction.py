@@ -20,6 +20,7 @@ from enokit import (
     reconstruct_cell,
     select_signature,
     sign_report,
+    telescoped_jump_reconstruction,
     uniform_mesh,
 )
 
@@ -221,8 +222,7 @@ def test_traces_from_a_given_table_build_no_primitive(monkeypatch, scalar):
     def no_primitive(*args, **kwargs):
         raise AssertionError("a primitive was built")
 
-    for name in ("primitive_from_averages", "primitive_floats"):
-        monkeypatch.setattr(grid, name, no_primitive)
+    monkeypatch.setattr(grid, "primitive_from_averages", no_primitive)
     table = level_table(field.mesh.interfaces, field.averages, 5, order=1)
     expected = interface_traces(field, 3)
     assert interface_traces(field, 3, table=table) == expected
@@ -255,13 +255,57 @@ def non_dyadic_steps(ncells=120, seed=146):
 
 @pytest.mark.parametrize("p", [3, 6])
 def test_float_traces_follow_exact_eno_on_non_dyadic_steps(p):
+    """The float batch picks exact ENO's stencils and verdicts, and the
+    float per-cell API, which builds the averages' table as the batch
+    does, picks the batch's stencils."""
     xs, data = non_dyadic_steps()
-    floats = interface_traces(CellAverageField(Mesh(xs), data), p)
+    field = CellAverageField(Mesh(xs), data)
+    floats = interface_traces(field, p)
     exact = interface_traces(CellAverageField(
         Mesh([Fraction(x) for x in xs]), [Fraction(v) for v in data]), p)
     assert [(t.left_signature, t.right_signature) for t in floats] \
         == [(t.left_signature, t.right_signature) for t in exact]
     assert sign_report(floats).counts == sign_report(exact).counts
+    prim = primitive_from_averages(field)
+    assert [select_signature(prim, cell, p) for cell in floats.index] \
+        == list(floats.right_signatures)
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_float_oracle_without_a_table_is_the_batch_oracle(p):
+    """The one-breakpoint oracle given no table differences the averages
+    as telescoped_jumps does on their table, so the two agree bit for
+    bit."""
+    from enokit.numerics import CELL, level_table
+    from enokit.stability import telescoped_jumps
+
+    xs, data = non_dyadic_steps()
+    field = CellAverageField(Mesh(xs), data)
+    batch = interface_traces(field, p)
+    prim = primitive_from_averages(field)
+    column = telescoped_jumps(level_table(xs, data, p + 1, order=1), batch, p,
+                              CELL)
+    one_by_one = [telescoped_jump_reconstruction(prim, left, right, i, p)
+                  for left, right, i in zip(batch.left_signatures,
+                                            batch.right_signatures,
+                                            batch.index)]
+    assert list(map(repr, one_by_one)) == list(map(repr, column))
+
+
+def test_per_cell_calls_need_the_primitives_averages(step_cells):
+    """A primitive built by hand carries no averages, so a per-cell call
+    given no table has nothing to build it from."""
+    from enokit import PointValueField
+
+    prim = primitive_from_averages(step_cells)
+    bare = PointValueField(prim.nodes, prim.values)
+    sig = select_signature(prim, 3, 2)
+    for call in (lambda: select_signature(bare, 3, 2),
+                 lambda: newton_interpolant(bare, sig, 3),
+                 lambda: reconstruct_cell(bare, 3, 2),
+                 lambda: telescoped_jump_reconstruction(bare, sig, sig, 4, 2)):
+        with pytest.raises(TypeError, match="primitive_from_averages"):
+            call()
 
 
 def test_newton_interpolant_from_an_averages_table():
@@ -325,6 +369,7 @@ def _contract_field(scalar, p):
 def test_trace_batch_contract(monkeypatch, scalar, p):
     import enokit.harness as harness
     from enokit.harness import check_orders
+    from enokit.stability import trace_columns
     from enokit.numerics import level_table
 
     field = _contract_field(scalar, p)
@@ -355,8 +400,10 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     assert sign_report(batch) == sign_report(list(batch))
 
     checked = list(check_orders(field, (p,)))
+    # The check loop judges a batch read from per-trace records, whose
+    # verdicts go trace by trace, as it judges the columnar one.
     monkeypatch.setattr(harness, "interface_traces",
-                        lambda *args, **kwargs: list(batch))
+                        lambda *args, **kwargs: trace_columns(list(batch)))
     [(order, traces, report, agrees)] = check_orders(field, (p,))
     [(_, want_traces, want_report, want_agrees)] = checked
     assert (order, list(traces), report, agrees) \
