@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 malformed CSV, bad arguments, float data that
 overflow binary64 or an unwritable output path (one-line diagnostic on
 stderr, line-numbered for CSV input), 3 data window too small for the
-requested order, 4 violations found by verify or fuzz. Outputs are
-byte-stable for a fixed seed, backend, and argument set.
+requested order, 4 violations, bound exceedances or oracle mismatches
+found by verify or fuzz. Outputs are byte-stable for a fixed seed,
+backend, and argument set.
 """
 
 import argparse
@@ -187,32 +188,25 @@ def _cmd_interpolate(args):
 def _cmd_verify(args):
     backend = get_backend(args.backend)
     p = args.order
-    if args.kind == "reconstruction":
-        field = _read_cells(args.input, backend)
-        bound_of, coords = bound_Cp, field.mesh
-    else:
-        field = _read_points(args.input, backend)
-        bound_of, coords = bound_cp, field.nodes
-    [(_, traces, report, agrees)] = check_orders(field, (p,))
-    bound = bound_of(coords, p)
-    mismatches = agrees.count(False)
+    read = _read_cells if args.kind == "reconstruction" else _read_points
+    [(_, traces, report, agrees, bounds, within)] = check_orders(
+        read(args.input, backend), (p,))
     payload = {
         "interfaces": len(traces),
         "violations": report.violations,
         "max_ratio": None if report.max_ratio is None
         else backend.serialize(report.max_ratio),
-        "bound": EXACT.serialize(bound),
+        "bound": EXACT.serialize(max(bounds)),
+        "bound_exceedances": within.count(False),
         "seed": None,
         "order": p,
         "backend": backend.name,
         "kind": args.kind,
-        "oracle_mismatches": mismatches,
+        "oracle_mismatches": agrees.count(False),
         "verdicts": report.counts,
     }
     _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
-    if report.violations or mismatches:
-        return 4
-    return 0
+    return 4 if report.violations or not all(agrees) or not all(within) else 0
 
 
 def _cmd_bounds(args):
@@ -339,7 +333,7 @@ def build_parser():
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("verify",
-                       help="sign verdicts plus telescoped-oracle cross-check, JSON")
+                       help="sign, jump-bound and telescoped-oracle checks, JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("reconstruction", "interpolation"),
                    default="reconstruction")

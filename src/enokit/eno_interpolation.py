@@ -57,7 +57,7 @@ def interpolant_at_node(field, node, p, table=None):
     if table is None:
         table = field_table(field, p - 1, NODE)
     signature = select_signature_pointwise(field, node, p, table=table)
-    return _newton_form(table, node, signature.offsets, NODE,
+    return _newton_form(table, field.nodes, node, signature.offsets, NODE,
                         table.levels[0][node])
 
 

@@ -348,12 +348,23 @@ class CellPolynomial:
         return self.antiderivative.derivative_value(x)
 
 
-def _newton_form(table, anchor, offsets, shift, constant):
+def _newton_form(table, coords, anchor, offsets, shift, constant):
     """Newton form over an anchor's final stencil, points in the order the
     stages brought them in: stage s reads level s at offset offsets[s-shift].
-    `constant` is the level-0 coefficient, at the anchor."""
+    `constant` is the level-0 coefficient, at the anchor.
+
+    The table's points on the stencil must be the field's `coords` there,
+    or their floats in a float table; a table in other units, such as one
+    on grid_integers, raises ShapeError.
+    """
     X = table.points
     levels = table.levels
+    lo = anchor + offsets[-1]
+    for k in range(lo, lo + len(offsets) + shift):
+        if X[k] != (float(coords[k]) if type(X[k]) is float else coords[k]):
+            raise ShapeError(
+                f"the table's point {k} is {X[k]!r}, not the field's "
+                f"coordinate {coords[k]!r}; build it with field_table")
     points = [X[anchor]]
     coefficients = [constant]
     prev = 0
@@ -408,7 +419,7 @@ def newton_interpolant(primitive, signature, cell, table=None):
     if table is None:
         table = field_table(primitive, p, CELL)
     check_depth(table, p, p)
-    return _newton_form(table, cell, signature.offsets, CELL,
+    return _newton_form(table, primitive.nodes, cell, signature.offsets, CELL,
                         primitive.values[cell])
 
 

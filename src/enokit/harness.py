@@ -98,20 +98,24 @@ def worst_case_ratio(p, epsilon=1e-10, n_cells=20, backend=FLOAT):
 # ---- Checks ----
 
 def check_orders(field, orders):
-    """Traces, sign verdicts and telescoped-oracle agreement, order by order.
+    """Traces, sign verdicts, oracle agreement and jump bounds, order by order.
 
     A CellAverageField is reconstructed, a PointValueField interpolated;
-    one divided-difference table serves every order, trace and oracle,
-    over the coordinates' grid_integers when they have them.
+    one divided-difference table serves every order, trace, oracle and
+    bound, over the coordinates' grid_integers when they have them.
     The distinct orders are traced in ascending order, so each resumes the
     stage-wise selection and evaluation the previous one left on the
     table. Each order is one columnar pass: `telescoped_jumps` gives the
     oracle's column, and it and the verdicts read the batch's `jumps`.
-    Yields (p, traces, sign_report(traces), agrees) in the order given,
-    where traces is a TraceBatch and agrees[i] says whether the telescoped
-    jump equals traces.jumps[i]: exactly for exact data, within
-    ORACLE_FLOAT_TOL of its scale for float data. Raises StencilOutOfRange,
-    before yielding anything, when an order does not fit the data.
+    Yields (p, traces, sign_report(traces), agrees, bounds, within) in the
+    order given; traces is a TraceBatch, and at its breakpoint i agrees[i]
+    says whether the telescoped jump equals traces.jumps[i], bounds[i] is
+    the exact jump bound there, from one position_bounds call on the
+    table's points, and within[i] whether the ratio is None or at most
+    bounds[i], compared exactly. Float data get ORACLE_FLOAT_TOL of slack
+    on both: of the jump's scale, and as the bound's factor 1 + tol.
+    Raises StencilOutOfRange, before yielding anything, when an order does
+    not fit the data.
     """
     orders = tuple(orders)
     if not orders:
@@ -124,17 +128,25 @@ def check_orders(field, orders):
     coords, data, approximate = float_entry(coords, data)
     table = trace_table(coords, data, min(max(orders) + shift, len(coords) - 1),
                         shift, approximate)
+    bounds_at = position_bounds(table.points, set(orders), "reconstruction"
+                                if shift == CELL else "interpolation")
+    slack = 1 + EXACT.convert(ORACLE_FLOAT_TOL)
     checked = {}
     for p in sorted(set(orders)):
         traces = traces_of(field, p, table=table)
         telescoped = telescoped_jumps(table, traces, p, shift)
+        report = sign_report(traces)
+        bounds = [bounds_at[p][index] for index in traces.index]
         if approximate:
             agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
                       for tele, jump in zip(telescoped, traces.jumps)]
+            limits = [bound * slack for bound in bounds]
         else:
             agrees = [tele == jump
                       for tele, jump in zip(telescoped, traces.jumps)]
-        checked[p] = p, traces, sign_report(traces), agrees
+            limits = bounds
+        within = [r is None or r <= limit for r, limit in zip(report.ratios, limits)]
+        checked[p] = p, traces, report, agrees, bounds, within
     for p in orders:
         yield checked[p]
 
@@ -263,7 +275,6 @@ def _run_fuzz_trial(config, trial):
     reconstruction = config.kind == "reconstruction"
     room = len(coords) - 1 if reconstruction else len(coords)
     orders = [p for p in config.orders if room >= 2 * p]
-    bounds = position_bounds(coords, orders, config.kind)
     if not backend.exact:
         coords = [float(x) for x in coords]
         values = [float(v) for v in values]
@@ -297,37 +308,29 @@ def _run_fuzz_trial(config, trial):
             "data_jump": backend.serialize(t.data_jump),
         }
 
-    for p, traces, report, agrees in check_orders(field, orders):
+    for p, traces, report, agrees, bounds, within in check_orders(field, orders):
         payload["interfaces"] += len(traces)
         best_ratio = None
-        best_bound = None
-        for i, (index, verdict, ratio, agree) in enumerate(zip(
-                traces.index, report.verdicts, report.ratios, agrees)):
+        for i, (index, verdict, ratio, agree, fits) in enumerate(zip(
+                traces.index, report.verdicts, report.ratios, agrees, within)):
             if verdict == "VIOLATION":
                 payload["violations"] += 1
                 payload["violation_witnesses"].append(
                     witness(p, traces[i], "sign"))
-            bound = bounds[p][index]
-            if best_bound is None or bound > best_bound:
-                best_bound = bound
-            if ratio is not None:
-                exact_ratio = EXACT.convert(ratio) if not backend.exact else ratio
-                slack = bound if backend.exact else bound * (
-                    1 + EXACT.convert(ORACLE_FLOAT_TOL))
-                if exact_ratio > slack:
-                    payload["bound_exceedances"] += 1
-                    payload["violation_witnesses"].append(
-                        witness(p, traces[i], "bound"))
-                if best_ratio is None or ratio > best_ratio:
-                    best_ratio = ratio
-                    candidate = (trial, p, index)
+            if not fits:
+                payload["bound_exceedances"] += 1
+                payload["violation_witnesses"].append(
+                    witness(p, traces[i], "bound"))
+            if ratio is not None and (best_ratio is None or ratio > best_ratio):
+                best_ratio = ratio
+                candidate = (trial, p, index)
             if not agree:
                 payload["oracle_mismatches"] += 1
                 payload["violation_witnesses"].append(
                     witness(p, traces[i], "oracle"))
         payload["max_ratio"][p] = (
             None if best_ratio is None else backend.serialize(best_ratio))
-        payload["bound"][p] = EXACT.serialize(best_bound)
+        payload["bound"][p] = EXACT.serialize(max(bounds))
         if best_ratio is not None:
             entry = {
                 "ratio": backend.serialize(best_ratio),

@@ -328,13 +328,26 @@ def field_table(field, max_order, shift):
     Raises:
         TypeError: a CELL field without averages, which only
             primitive_from_averages gives a PointValueField.
+        NonFiniteValue: float data overflow a level to NaN or +-inf.
     """
     data = field.values if shift == NODE else getattr(field, "averages", None)
     if data is None:
         raise TypeError("the primitive carries no averages; build it with "
                         "primitive_from_averages")
-    coords, data, _ = float_entry(field.nodes, data)
+    coords, data, approximate = float_entry(field.nodes, data)
+    if approximate:
+        return _float_table(coords, data, max_order, shift)
     return level_table(coords, data, max_order, shift)
+
+
+def _float_table(points, values, max_order, order):
+    """Table of all-float data; levels they overflow to NaN or +-inf raise
+    NonFiniteValue."""
+    levels = divided_difference_levels(points, values, max_order, order)
+    # A NaN or infinity at one level makes NaN or infinities at every
+    # level above it, so the top level shows an overflow anywhere.
+    check_finite_column(levels[-1], f"float overflow: level-{max_order} entry")
+    return DividedDifferenceTable(points, levels)
 
 
 def trace_table(points, values, max_order, order=0, approximate=False):
@@ -348,11 +361,7 @@ def trace_table(points, values, max_order, order=0, approximate=False):
     points the table holds, so both give the same stencils and traces.
     """
     if approximate:
-        levels = divided_difference_levels(points, values, max_order, order)
-        # A NaN or infinity at one level makes NaN or infinities at every
-        # level above it, so the top level shows an overflow anywhere.
-        check_finite_column(levels[-1], f"float overflow: level-{max_order} entry")
-        return DividedDifferenceTable(points, levels)
+        return _float_table(points, values, max_order, order)
     ints = grid_integers(points)
     if ints is None:
         return level_table(points, values, max_order, order)

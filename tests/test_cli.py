@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +144,12 @@ def test_interpolate_step(capsys, points_csv):
 
 
 def test_verify_constant_averages(capsys, tmp_path):
+    """Constant data are continuous everywhere and exceed no bound; the
+    reported bound is bound_Cp / bound_cp of the mesh, on integer,
+    decimal (grid), off-grid exact and float meshes, for both kinds."""
+    from enokit import EXACT, Mesh, bound_Cp, bound_cp, get_backend
+    from enokit.numerics import grid_integers
+
     path = tmp_path / "const.csv"
     path.write_text("x_left,x_right,avg\n" + "".join(
         f"{i},{i + 1},5\n" for i in range(8)
@@ -153,10 +160,45 @@ def test_verify_constant_averages(capsys, tmp_path):
     assert payload["violations"] == 0
     assert payload["interfaces"] == 5
     assert payload["oracle_mismatches"] == 0
+    assert payload["bound_exceedances"] == 0
     assert payload["verdicts"]["Continuous"] == 5
     for key in ("interfaces", "violations", "max_ratio", "bound", "seed",
                 "order", "backend"):
         assert key in payload
+
+    ticks = [0]
+    for gap in (300, 150, 750, 125, 1001, 500, 200, 40, 1000, 625, 5):
+        ticks.append(ticks[-1] + gap)
+    sevenths = [Fraction(0)]
+    for gap in ("1/3", "1/7", "2/3", "3/7", "1/3", "5/7", "4/3", "1/7",
+                "2/3", "2/7", "1/3"):
+        sevenths.append(sevenths[-1] + Fraction(gap))
+    meshes = {
+        "decimal": ("exact", [f"{t // 1000}.{t % 1000:03d}" for t in ticks]),
+        "off-grid": ("exact", [str(x) for x in sevenths]),
+        "float": ("float", [repr(0.1 * k + 0.03 * (k % 3)) for k in range(12)]),
+    }
+    for name, (backend, xs) in meshes.items():
+        coords = [get_backend(backend).parse(x) for x in xs]
+        assert (grid_integers(coords) is not None) == (name == "decimal")
+        for kind, bound_of in (("reconstruction", bound_Cp),
+                               ("interpolation", bound_cp)):
+            if kind == "reconstruction":
+                path.write_text("x_left,x_right,avg\n" + "".join(
+                    f"{a},{b},-2\n" for a, b in zip(xs, xs[1:])))
+                mesh = Mesh(coords)
+            else:
+                path.write_text("x,value\n" + "".join(f"{x},-2\n" for x in xs))
+                mesh = coords
+            code, out, _ = run(capsys, "verify", "--input", str(path),
+                               "--order", "3", "--kind", kind,
+                               "--backend", backend)
+            payload = json.loads(out)
+            assert code == 0, (name, kind)
+            assert payload["bound_exceedances"] == 0
+            assert payload["verdicts"]["Continuous"] == payload["interfaces"]
+            assert payload["bound"] == EXACT.serialize(bound_of(mesh, 3)), \
+                (name, kind)
 
 
 def test_verify_interpolation_kind(capsys, points_csv):
@@ -186,6 +228,50 @@ def test_verify_flags_planted_violation(capsys, points_csv, monkeypatch):
     assert code == 4
     payload = json.loads(out)
     assert payload["violations"] == 1
+
+
+def _shrink_bounds(monkeypatch):
+    """Make check_orders judge every jump against its bound / 1000."""
+    import enokit.harness as harness_mod
+
+    real = harness_mod.position_bounds
+
+    def shrunk(*args, **kwargs):
+        return {p: {i: bound / 1000 for i, bound in at_p.items()}
+                for p, at_p in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(harness_mod, "position_bounds", shrunk)
+
+
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_verify_flags_planted_exceedance(capsys, cells_csv, points_csv,
+                                         monkeypatch, kind):
+    """A step whose jump ratio is 1 exceeds bounds shrunk 1000-fold: verify
+    counts the exceedances, reports the shrunk bound and exits 4."""
+    _shrink_bounds(monkeypatch)
+    source = cells_csv if kind == "reconstruction" else points_csv
+    code, out, _ = run(capsys, "verify", "--input", source, "--order", "2",
+                       "--kind", kind)
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["bound_exceedances"] > 0
+    assert payload["violations"] == payload["oracle_mismatches"] == 0
+    assert payload["max_ratio"] == "1"
+    assert payload["bound"] == "1/500"
+
+
+def test_fuzz_planted_exceedance_exits_four(capsys, monkeypatch):
+    """Bounds shrunk 1000-fold make every trial's order-1 ratio of 1 an
+    exceedance: fuzz exits 4 with witnesses of reason "bound"."""
+    _shrink_bounds(monkeypatch)
+    code, out, _ = run(capsys, "fuzz", "--trials", "2", "--cells", "12",
+                       "--orders", "1,2")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["bound_exceedances"] > 0
+    assert payload["violations"] == payload["oracle_mismatches"] == 0
+    reasons = {w["reason"] for w in payload["violation_witnesses"]}
+    assert reasons == {"bound"}
 
 
 @pytest.mark.parametrize("command", [

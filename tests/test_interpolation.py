@@ -282,10 +282,13 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     # verdicts go trace by trace, as it judges the columnar one.
     monkeypatch.setattr(harness, "midpoint_traces",
                         lambda *args, **kwargs: trace_columns(list(batch)))
-    [(order, traces, report, agrees)] = check_orders(field, (p,))
-    [(_, want_traces, want_report, want_agrees)] = checked
-    assert (order, list(traces), report, agrees) \
-        == (p, list(want_traces), want_report, want_agrees)
+    [(order, traces, report, agrees, bounds, within)] = check_orders(
+        field, (p,))
+    [(_, want_traces, want_report, want_agrees, want_bounds,
+      want_within)] = checked
+    assert (order, list(traces), report, agrees, bounds, within) \
+        == (p, list(want_traces), want_report, want_agrees, want_bounds,
+            want_within)
 
 
 def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):

@@ -404,10 +404,13 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     # verdicts go trace by trace, as it judges the columnar one.
     monkeypatch.setattr(harness, "interface_traces",
                         lambda *args, **kwargs: trace_columns(list(batch)))
-    [(order, traces, report, agrees)] = check_orders(field, (p,))
-    [(_, want_traces, want_report, want_agrees)] = checked
-    assert (order, list(traces), report, agrees) \
-        == (p, list(want_traces), want_report, want_agrees)
+    [(order, traces, report, agrees, bounds, within)] = check_orders(
+        field, (p,))
+    [(_, want_traces, want_report, want_agrees, want_bounds,
+      want_within)] = checked
+    assert (order, list(traces), report, agrees, bounds, within) \
+        == (p, list(want_traces), want_report, want_agrees, want_bounds,
+            want_within)
 
 
 def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
@@ -473,12 +476,14 @@ def test_orders_sharing_a_table_match_fresh_calls(kind, scalar):
     orders = (4, 1, 6, 1, 3)
     checked = list(check_orders(field, orders))
     assert [p for p, *_ in checked] == list(orders)
-    for p, traces, report, agrees in checked:
-        [(_, want, want_report, want_agrees)] = check_orders(field, (p,))
+    for p, traces, report, agrees, bounds, within in checked:
+        [(_, want, want_report, want_agrees, want_bounds,
+          want_within)] = check_orders(field, (p,))
         assert [repr(t) for t in traces] == [repr(t) for t in want] == fresh[p]
         assert report == want_report == sign_report(traces_of(field, p))
-        assert agrees == want_agrees
-        assert all(agrees)
+        assert (agrees, bounds, within) == (want_agrees, want_bounds,
+                                            want_within)
+        assert all(agrees) and all(within)
 
 
 @pytest.mark.parametrize("scalar", [Fraction, float])
@@ -602,11 +607,13 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     """Traces and checks on a table of their own, over grid_integers on a
     grid mesh, equal those on a caller-given level_table in the field's
     coordinates: the repr of every trace, the values and types of the
-    locations, the sign reports and the oracle agreements."""
+    locations, the sign reports, the oracle agreements and the bounds,
+    which position_bounds gives on the field's coordinates too."""
     from enokit import PointValueField, harness, midpoint_traces
     from enokit import eno_reconstruction
     from enokit.numerics import level_table, trace_table
     from enokit.stability import (
+        position_bounds,
         telescoped_jump_interpolation,
         telescoped_jump_reconstruction,
     )
@@ -641,14 +648,16 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
         assert sign_report(got) == sign_report(want[p])
     checked = list(harness.check_orders(field, (4, 1, 6, 1, 3)))
     assert [p for p, *_ in checked] == [4, 1, 6, 1, 3]
-    for p, traces, report, agrees in checked:
+    on_coords = position_bounds(xs, range(1, 7), kind)
+    for p, traces, report, agrees, bounds, within in checked:
+        assert bounds == [on_coords[p][i] for i in traces.index]
         assert [repr(t) for t in traces] == [repr(t) for t in want[p]]
         assert report == sign_report(want[p])
         assert agrees == [
             telescoped(None, t.left_signature, t.right_signature, t.index, p,
                        table=given) == t.jump
             for t in want[p]]
-        assert all(agrees)
+        assert all(agrees) and all(within)
     assert len(built) == 7
     on_grid = mesh != "off-grid"
     assert all((type(x) is int) == on_grid
@@ -678,3 +687,53 @@ def test_float_overflow_is_a_non_finite_value(kind, scale, data, p, column):
         field, traces_of = PointValueField(xs, values), midpoint_traces
     with pytest.raises(NonFiniteValue, match=f"float overflow: {column}"):
         traces_of(field, p)
+
+
+def test_per_cell_and_per_node_calls_raise_on_float_overflow():
+    """Averages +-1e308 on unit cells, and values +-1e308 on unit nodes,
+    overflow a level of their own table: per-cell and per-node calls raise
+    NonFiniteValue as the batch does, and never build a polynomial or a
+    stencil from inf or NaN."""
+    from enokit import (
+        NonFiniteValue,
+        PointValueField,
+        interpolant_at_node,
+        select_signature_pointwise,
+    )
+
+    xs = [float(k) for k in range(6)]
+    data = [(-1) ** k * 1e308 for k in range(6)]
+    prim = primitive_from_averages(CellAverageField(Mesh(xs), data[:5]))
+    field = PointValueField(xs, data)
+    for call in (lambda: select_signature(prim, 2, 2),
+                 lambda: reconstruct_cell(prim, 2, 2),
+                 lambda: select_signature_pointwise(field, 2, 2),
+                 lambda: interpolant_at_node(field, 2, 2)):
+        with pytest.raises(NonFiniteValue, match="float overflow: level-"):
+            call()
+
+
+def test_newton_forms_reject_a_table_in_grid_units():
+    """A table over grid_integers holds the coordinates in other units: the
+    per-cell and per-node Newton forms reject it rather than return
+    polynomials in those units, and take the field's own table."""
+    from enokit import ShapeError, PointValueField, interpolant_at_node
+    from enokit.numerics import CELL, NODE, field_table, trace_table
+
+    xs = [Fraction(k, 10) for k in range(9)]
+    squares = [Fraction(k * k) for k in range(9)]
+    field = CellAverageField(Mesh(xs), squares[:8])
+    prim = primitive_from_averages(field)
+    with pytest.raises(ShapeError, match="field_table"):
+        reconstruct_cell(prim, 3, 3, table=trace_table(xs, squares[:8], 3, CELL))
+    poly = reconstruct_cell(prim, 3, 3, table=field_table(prim, 3, CELL))
+    assert poly == reconstruct_cell(prim, 3, 3)
+    assert poly.antiderivative.points == (Fraction(3, 10), Fraction(2, 5),
+                                          Fraction(1, 5), Fraction(1, 2))
+    assert cell_mean(poly, field.mesh) == 9
+
+    nodes = PointValueField(xs, squares)
+    with pytest.raises(ShapeError, match="field_table"):
+        interpolant_at_node(nodes, 3, 3, table=trace_table(xs, squares, 2, NODE))
+    assert interpolant_at_node(nodes, 3, 3, table=field_table(nodes, 2, NODE)) \
+        == interpolant_at_node(nodes, 3, 3)
