@@ -10,7 +10,6 @@ makes serial and parallel runs byte-identical.
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -374,6 +373,9 @@ def fuzz_sign_property(config, workers=1):
     trial_ids = range(config.trials)
     runner = partial(_run_fuzz_trial, config)
     if workers > 1:
+        # Imported only here: loading the process pool is a large share of
+        # importing enokit, and only a parallel run uses it.
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(runner, trial_ids, chunksize=chunk))

@@ -1,13 +1,15 @@
 """Scalar backends and divided-difference tables.
 
 Scalars are plain Python numbers. The float backend works in binary64.
-The exact backend works in arbitrary-precision rationals (gmpy2 when
-available, fractions.Fraction otherwise), so no operation ever rounds and
-sign checks performed on exact scalars are authoritative.
+The exact backend works in arbitrary-precision rationals, so no operation
+ever rounds and sign checks performed on exact scalars are authoritative:
+gmpy2's mpq when gmpy2 is installed, else _Rational, a fractions.Fraction
+subclass that does its arithmetic with ints and its own kind directly and
+leaves every other operand to Fraction.
 """
 
 from fractions import Fraction
-from math import isfinite
+from math import gcd, isfinite
 from operator import sub, truediv
 
 from .errors import InvalidMesh, NonFiniteValue, ShapeError
@@ -22,6 +24,193 @@ except ImportError:  # gmpy2 is the optional "gmpy2" extra
 # holds j+1 interfaces of the primitive, a node's holds j nodes.
 CELL = 1
 NODE = 0
+
+
+# ---- Rationals ----
+
+class _Rational(Fraction):
+    """A Fraction whose arithmetic with ints and its own kind skips
+    Fraction's operand dispatch.
+
+    It keeps Fraction's value, slots, hash, str, pickling and copying;
+    repr prints it as a Fraction too. Sums, differences, products and
+    quotients with an int or a _Rational use Henrici's reduced cross
+    products (Knuth, TAOCP vol. 2, 4.5.1), as Fraction's own do, and give
+    a _Rational in lowest terms with a positive denominator; comparisons
+    with them cross-multiply. Any other operand (a float, a plain
+    Fraction, a Decimal, an mpq) goes to Fraction's method, so mixed
+    arithmetic keeps Fraction's results and types. Build one with
+    _rational: calling the class runs Fraction's general constructor,
+    which is there for unpickling and copying.
+    """
+
+    __slots__ = ()
+
+    # A class that defines __eq__ loses its inherited __hash__.
+    __hash__ = Fraction.__hash__
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _raw(a._numerator + b * a._denominator, a._denominator)
+        if type(b) is _Rational:
+            return _sum(a._numerator, a._denominator,
+                        b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        if type(b) is int:
+            return _raw(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _raw(a._numerator - b * a._denominator, a._denominator)
+        if type(b) is _Rational:
+            return _sum(a._numerator, a._denominator,
+                        -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _raw(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        if type(b) is int:
+            g = gcd(b, a._denominator)
+            return _raw(a._numerator * (b // g), a._denominator // g)
+        if type(b) is _Rational:
+            return _product(a._numerator, a._denominator,
+                            b._numerator, b._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        if type(b) is int:
+            g = gcd(b, a._denominator)
+            return _raw(a._numerator * (b // g), a._denominator // g)
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        if type(b) is int:
+            return _product(a._numerator, a._denominator, 1, b)
+        if type(b) is _Rational:
+            return _product(a._numerator, a._denominator,
+                            b._denominator, b._numerator)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return _product(b, 1, a._denominator, a._numerator)
+        return Fraction.__rtruediv__(a, b)
+
+    def __neg__(a):
+        return _raw(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _raw(abs(a._numerator), a._denominator)
+
+    def __eq__(a, b):
+        if type(b) is int:
+            return a._denominator == 1 and a._numerator == b
+        if type(b) is _Rational:
+            return (a._numerator == b._numerator
+                    and a._denominator == b._denominator)
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        if type(b) is int:
+            return a._numerator < b * a._denominator
+        if type(b) is _Rational:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        if type(b) is int:
+            return a._numerator <= b * a._denominator
+        if type(b) is _Rational:
+            return (a._numerator * b._denominator
+                    <= b._numerator * a._denominator)
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        if type(b) is int:
+            return a._numerator > b * a._denominator
+        if type(b) is _Rational:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        if type(b) is int:
+            return a._numerator >= b * a._denominator
+        if type(b) is _Rational:
+            return (a._numerator * b._denominator
+                    >= b._numerator * a._denominator)
+        return Fraction.__ge__(a, b)
+
+
+def _raw(numerator, denominator, _new=object.__new__):
+    """The _Rational numerator/denominator, which must be in lowest terms
+    with a positive denominator."""
+    r = _new(_Rational)
+    r._numerator = numerator
+    r._denominator = denominator
+    return r
+
+
+def _rational(numerator, denominator=1):
+    """The int ratio numerator/denominator as a _Rational in lowest terms,
+    its sign on the numerator.
+
+    Raises:
+        ZeroDivisionError: a zero denominator.
+    """
+    if denominator == 1:
+        return _raw(numerator, 1)
+    if not denominator:
+        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+    g = gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    return _raw(numerator // g, denominator // g)
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db, both in lowest terms with positive denominators."""
+    g = gcd(da, db)
+    if g == 1:
+        return _raw(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _raw(t, s * db)
+    return _raw(t // g2, s * (db // g2))
+
+
+def _product(na, da, nb, db):
+    """(na/da) * (nb/db), both in lowest terms and da positive; db may be
+    negative, so a quotient is the product with its divisor inverted.
+
+    Raises:
+        ZeroDivisionError: db is zero.
+    """
+    if not db:
+        raise ZeroDivisionError(f"Fraction({na * nb}, 0)")
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    n, d = na * nb, db * da
+    if d < 0:
+        return _raw(-n, -d)
+    return _raw(n, d)
 
 
 # ---- Backends ----
@@ -58,12 +247,19 @@ class FloatBackend:
 
 
 class ExactBackend:
-    """Arbitrary-precision rational scalars."""
+    """Arbitrary-precision rational scalars.
+
+    `_make(num, den)` is the one hook that picks the rational type: gmpy2's
+    mpq when gmpy2 is installed, else _rational, which gives a _Rational.
+    Every exact scalar the package makes (convert, promote_integers,
+    quotient, halfway) comes from it, and the arithmetic on those keeps the
+    type, so the whole exact path runs on one type.
+    """
 
     name = "exact"
     exact = True
 
-    _make = Fraction if _gmpy2 is None else _gmpy2.mpq
+    _make = staticmethod(_rational) if _gmpy2 is None else _gmpy2.mpq
 
     def convert(self, x):
         """Coerce x to a rational, exactly.
@@ -72,16 +268,13 @@ class ExactBackend:
         convert by their printed value ("0.1" becomes 1/10). Floats convert
         to their exact binary value.
         """
-        if isinstance(x, str):
-            f = Fraction(x)
-            return f if self._make is Fraction else self._make(
-                f.numerator, f.denominator)
+        if type(x) is int:
+            return self._make(x, 1)
         if isinstance(x, float):
-            num, den = x.as_integer_ratio()
-            return self._make(num, den)
-        if isinstance(x, Fraction):
-            return self._make(x.numerator, x.denominator)
-        return self._make(x)
+            return self._make(*x.as_integer_ratio())
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        return self._make(x.numerator, x.denominator)
 
     def parse(self, text):
         """Read a scalar from its serialized form."""
@@ -114,32 +307,36 @@ def is_float_data(values):
 def float_entry(coords, data):
     """Coordinates and data as float lists when either holds a float.
 
-    Returns (coords, data, approximate); exact input comes back as given.
+    Returns (coords, data, approximate). Exact coordinates come back as
+    given, exact data as a list with every scalar but an int of the exact
+    backend's type, so data jumps and the ratios over them are on it too.
     """
     if is_float_data(data) or is_float_data(coords):
         return list(map(float, coords)), list(map(float, data)), True
-    return coords, data, False
+    return coords, _own_type(data, int), False
 
 
 def promote_integers(values):
-    """Replace ints with exact rationals in all-exact data.
+    """All-exact data with every scalar of the exact backend's type.
 
-    Plain ints mixed into rational data (or data that is entirely ints)
-    would turn true division into float division; promotion keeps every
-    downstream quotient exact. Data containing floats is left alone.
+    Plain ints in the data would turn true division into float division,
+    and a plain Fraction would take Fraction's slow operand dispatch;
+    EXACT.convert makes each of them the backend's type, so every
+    downstream quotient is exact and on one type. Values that already
+    have it are kept as they are. Data containing floats is left alone.
     """
     vals = list(values)
-    if not any(type(v) is int for v in vals):
-        return vals
     if any(isinstance(v, float) for v in vals):
         return vals
-    target = None
-    for v in vals:
-        if type(v) is not int:
-            target = type(v)
-            break
-    conv = EXACT.convert if target is None else target
-    return [conv(v) if type(v) is int else v for v in vals]
+    return _own_type(vals)
+
+
+def _own_type(values, keep=None):
+    """values as a list, EXACT.convert applied to each value whose type is
+    neither the exact backend's nor keep."""
+    own = type(EXACT.convert(0))
+    return [v if type(v) is own or type(v) is keep else EXACT.convert(v)
+            for v in values]
 
 
 def quotient(a, b):
@@ -156,7 +353,7 @@ def quotient(a, b):
 def halfway(a, b):
     """Midpoint of a and b: binary64 when either is a float, else exact."""
     if type(a) is int and type(b) is int:
-        return EXACT.convert(a + b) / 2
+        return EXACT._make(a + b, 2)
     return (a + b) / 2
 
 

@@ -51,16 +51,18 @@ def test_help_exits_zero(capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    """Only `converge` needs numpy; importing the package and its front
-    end in a fresh interpreter must not load it."""
+    """Only `converge` needs numpy, and only `fuzz --workers` above 1 the
+    process pool; importing the package and its front end in a fresh
+    interpreter must load neither."""
     src = os.path.dirname(os.path.dirname(enokit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, enokit, enokit.cli; print('numpy' in sys.modules)"
+    code = ("import sys, enokit, enokit.cli; print('numpy' in sys.modules, "
+            "'concurrent.futures.process' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_bounds_uniform_reconstruction(capsys):

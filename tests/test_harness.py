@@ -1,5 +1,6 @@
 """Extremal constructions, fuzzing, convergence, and the oracle."""
 
+import hashlib
 import json
 import math
 import random
@@ -22,12 +23,15 @@ from enokit import (
     interface_traces,
     lagrange_oracle,
     midpoint_traces,
+    primitive_from_averages,
     uniform_bound_Cp,
     worst_case_averages,
     worst_case_ratio,
 )
 
-from enokit.harness import _trial_inputs
+from enokit.harness import _trial_inputs, check_orders
+from enokit.numerics import ExactBackend, _gmpy2, field_table, float_entry, \
+    trace_table
 
 from conftest import random_fraction_mesh, random_int_values
 
@@ -204,6 +208,84 @@ def test_fuzz_bounds_equal_the_per_position_reference(kind, backend):
     report = fuzz_sign_property(config)
     assert report.bound_per_order == {
         p: EXACT.serialize(b) for p, b in sorted(expected.items())}
+
+
+# sha256 over the to_json() of the exact fuzz reports below, one line each,
+# recorded with fractions.Fraction doing every exact operation, so it judges
+# any rational type behind ExactBackend._make.
+EXACT_FUZZ_DIGEST = (
+    "6a41b00f19aca4255b90373713c7d187dd36f8a2ff72ee32c3cb26076b13a0f6")
+
+
+def _exact_fuzz_digest():
+    digest = hashlib.sha256()
+    for kind in ("reconstruction", "interpolation"):
+        for seed in (0, 3, 9):
+            for distribution in ("mixed", "uniform-int"):
+                config = FuzzConfig(seed=seed, trials=40, kind=kind,
+                                    distribution=distribution)
+                digest.update(fuzz_sign_property(config).to_json().encode())
+                digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_exact_fuzz_reports_are_pinned():
+    assert _exact_fuzz_digest() == EXACT_FUZZ_DIGEST
+
+
+def test_exact_fuzz_reports_hold_on_plain_fractions(monkeypatch):
+    """ExactBackend._make is the one hook on the rational type: with plain
+    Fractions behind it, as with any other type, the reports are the same."""
+    monkeypatch.setattr(ExactBackend, "_make", Fraction)
+    assert type(EXACT.convert(1)) is Fraction
+    assert _exact_fuzz_digest() == EXACT_FUZZ_DIGEST
+
+
+@pytest.mark.skipif(_gmpy2 is not None, reason="gmpy2 supplies the rationals")
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_exact_checks_run_on_the_backend_type(kind):
+    """Every exact value the check loop makes has the backend's own type,
+    also for fields built from ints or plain Fractions, on and off the
+    grid of the coordinates' gaps, so none falls back to Fraction's
+    arithmetic."""
+    own = type(EXACT.convert(0))
+    assert own is not Fraction and isinstance(EXACT.convert(0), Fraction)
+    rng = random.Random(23)
+    config = FuzzConfig(seed=4, trials=1, cells=14, kind=kind)
+    fuzz_coords, fuzz_values = _trial_inputs(config, 0)
+    inputs = [
+        (fuzz_coords, fuzz_values),
+        (random_fraction_mesh(rng, 15), random_int_values(rng, 15)),
+        ([Fraction(k, 3) for k in range(15)],
+         [Fraction(rng.randint(-9, 9), 7) for _ in range(15)]),
+        ([0, 1, 3, 4, 7, 8, 9, 12, 13, 15, 18, 19, 20, 22, 25],
+         random_int_values(rng, 15)),
+        ([sum(Fraction(1, (3, 4, 7)[k % 3]) for k in range(n))
+          for n in range(15)],
+         [Fraction(v) for v in random_int_values(rng, 15)]),
+    ]
+    shift = 1 if kind == "reconstruction" else 0
+    ratios = 0
+    for coords, values in inputs:
+        values = values[:len(coords) - shift]
+        field = (CellAverageField(Mesh(coords), values) if shift
+                 else PointValueField(coords, values))
+        X, data, approximate = float_entry(coords, values)
+        tables = (trace_table(X, data, 6 + shift, shift, approximate),
+                  field_table(primitive_from_averages(field) if shift
+                              else field, 6 + shift, shift))
+        for table in tables:
+            for level in table.levels[shift:]:
+                assert {type(v) for v in level} == {own}
+        for p, traces, report, agrees, bounds, within in check_orders(
+                field, (1, 2, 3, 4, 5, 6)):
+            assert len(traces) and all(agrees) and all(within)
+            for column in (traces.left, traces.right, traces.jumps, bounds):
+                assert {type(v) for v in column} == {own}, (p, column)
+            ratio_types = {type(r) for r in report.ratios if r is not None}
+            assert ratio_types <= {own}
+            ratios += bool(ratio_types)
+    assert ratios >= 20
 
 
 def test_convergence_rates_on_smooth_data():

@@ -1,6 +1,9 @@
 """Backends, promotion, and divided-difference tables."""
 
+import copy
 import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,7 +19,14 @@ from enokit import (
     divided_difference_table,
     get_backend,
 )
-from enokit.numerics import halfway, is_float_data, promote_integers
+from enokit.numerics import (
+    _Rational,
+    _rational,
+    halfway,
+    is_float_data,
+    promote_integers,
+    quotient,
+)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -189,3 +199,101 @@ def test_table_float_data_stays_float():
     assert all(
         isinstance(entry, float) for level in table.levels for entry in level
     )
+
+
+# ---- The exact backend's own rational ----
+
+small_ints = st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3)
+nonzero = (small_ints | st.integers(-10 ** 30, 10 ** 30)).filter(bool)
+rationals = st.builds(_rational, small_ints, nonzero)
+fractions = st.builds(Fraction, small_ints, st.integers(1, 10 ** 6))
+operands = rationals | small_ints | fractions
+
+
+def _plain(x):
+    """x as the reference sees it: a _Rational becomes a plain Fraction."""
+    return Fraction(x.numerator, x.denominator) if type(x) is _Rational else x
+
+
+def _lowest(q):
+    return q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+
+
+@given(operands, operands)
+def test_rational_arithmetic_matches_fraction(a, b):
+    if _Rational not in (type(a), type(b)):
+        a = _rational(a.numerator, a.denominator)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        try:
+            expected = op(_plain(a), _plain(b))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(a, b)
+            continue
+        got = op(a, b)
+        assert got == expected and type(expected) is Fraction
+        assert _lowest(got), (op, a, b, got)
+        own = {type(a), type(b)} <= {_Rational, int}
+        assert type(got) is (_Rational if own else Fraction), (op, a, b)
+
+
+@given(rationals)
+def test_rational_unary_and_conversions_match_fraction(a):
+    ref = _plain(a)
+    for got, expected in ((-a, -ref), (abs(a), abs(ref))):
+        assert type(got) is _Rational and got == expected and _lowest(got)
+    assert _lowest(a)
+    assert hash(a) == hash(ref)
+    if a.denominator == 1:
+        assert hash(a) == hash(a.numerator) and a == a.numerator
+    assert str(a) == str(ref) and repr(a) == repr(ref)
+    assert bool(a) is bool(ref) and float(a) == float(ref)
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+        assert type(clone) is _Rational and clone == a
+    assert isinstance(a, Fraction)
+
+
+comparands = operands | st.floats() | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.5, -0.0])
+
+
+@given(rationals, comparands)
+def test_rational_comparisons_match_fraction(a, b):
+    for op in (operator.eq, operator.ne, operator.lt, operator.le,
+               operator.gt, operator.ge):
+        assert op(a, b) is op(_plain(a), _plain(b)), (op, a, b)
+        assert op(b, a) is op(_plain(b), _plain(a)), (op, b, a)
+
+
+@given(small_ints, small_ints)
+def test_rational_constructor_normalises(n, d):
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            _rational(n, d)
+        return
+    q = _rational(n, d)
+    assert type(q) is _Rational and q == Fraction(n, d) and _lowest(q)
+
+
+def test_rational_division_by_zero_raises():
+    half = _rational(1, 2)
+    for divide in (lambda: half / 0, lambda: half / _rational(0),
+                   lambda: 3 / _rational(0), lambda: _rational(0) / 0,
+                   lambda: _rational(5, 0), lambda: EXACT.convert(0) / 0):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+
+
+def test_exact_backend_makes_its_own_type_everywhere():
+    """convert, promote_integers, quotient and halfway give the backend's
+    type, for ints, floats, strings and plain Fractions alike."""
+    own = type(EXACT.convert(0))
+    made = [EXACT.convert(3), EXACT.convert(0.1), EXACT.convert("-7/3"),
+            EXACT.convert("0.25"), EXACT.convert(Fraction(4, 6)),
+            quotient(2, -4), halfway(1, 4),
+            *promote_integers([1, Fraction(1, 2), EXACT.convert(5)])]
+    assert {type(v) for v in made} == {own}
+    assert made == [3, Fraction(0.1), Fraction(-7, 3), Fraction(1, 4),
+                    Fraction(2, 3), Fraction(-1, 2), Fraction(5, 2),
+                    1, Fraction(1, 2), 5]
