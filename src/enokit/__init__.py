@@ -40,7 +40,6 @@ from .harness import (
     RateTable,
     convergence_study,
     fuzz_sign_property,
-    lagrange_oracle,
     worst_case_averages,
     worst_case_ratio,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "RateTable",
     "convergence_study",
     "fuzz_sign_property",
-    "lagrange_oracle",
     "worst_case_averages",
     "worst_case_ratio",
     "EXACT",

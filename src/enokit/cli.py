@@ -17,7 +17,7 @@ import sys
 
 from .eno_interpolation import midpoint_traces
 from .eno_reconstruction import interface_traces
-from .errors import InvalidMesh, ShapeError, StencilOutOfRange
+from .errors import StencilOutOfRange
 from .grid import CellAverageField, Mesh, PointValueField
 from .harness import (
     FuzzConfig,
@@ -30,7 +30,6 @@ from .numerics import EXACT, get_backend, quotient
 from .stability import (
     bound_Cp,
     bound_cp,
-    relative_jump,
     sign_report,
     uniform_bound_Cp,
     uniform_bound_cp,
@@ -45,12 +44,11 @@ SAMPLERS = {
 }
 
 
-class _CsvError(Exception):
+class _CsvError(ValueError):
     """Malformed CSV input, pinned to a 1-based line number."""
 
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 _SCALAR_ERRORS = (ValueError, ZeroDivisionError, TypeError, OverflowError)
@@ -68,7 +66,7 @@ def _read_rows(path, expected_header):
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
-        raise _CsvError(0, f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     if not rows:
         raise _CsvError(1, f"empty file; expected header {','.join(expected_header)}")
     header = tuple(cell.strip() for cell in rows[0])
@@ -211,7 +209,7 @@ def _cmd_verify(args):
 
 def _cmd_bounds(args):
     if args.uniform == (args.input is not None):
-        raise _CsvError(0, "bounds needs exactly one of --uniform or --input")
+        raise ValueError("bounds needs exactly one of --uniform or --input")
     if args.order < 1:
         raise ValueError("order must be >= 1")
     rows = []
@@ -242,7 +240,7 @@ def _cmd_worst_case(args):
     traces = interface_traces(field, args.order)
     report = sign_report(traces)
     target = args.cells // 2
-    ratio = relative_jump(traces[target - args.order])
+    ratio = report.ratios[target - args.order]
     payload = {
         "interfaces": len(traces),
         "violations": report.violations,
@@ -269,9 +267,9 @@ def _parse_int_list(text, flag):
     try:
         items = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise _CsvError(0, f"{flag} expects a comma-separated integer list")
+        raise ValueError(f"{flag} expects a comma-separated integer list")
     if not items:
-        raise _CsvError(0, f"{flag} expects a nonempty list")
+        raise ValueError(f"{flag} expects a nonempty list")
     return items
 
 
@@ -394,13 +392,10 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StencilOutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidMesh, ShapeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

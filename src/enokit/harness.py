@@ -1,4 +1,4 @@
-"""Worst-case generators, randomized fuzzing, convergence studies, oracles.
+"""Check loop, worst-case generators, randomized fuzzing, convergence studies.
 
 Fuzz trials are reproducible and independent: trial t of seed s draws from
 random.Random(f"{s}:{t}"), so a corpus can be replayed trial by trial and
@@ -15,7 +15,7 @@ from functools import partial
 
 from .eno_interpolation import midpoint_traces
 from .eno_reconstruction import interface_traces
-from .errors import InvalidMesh, ShapeError, StencilOutOfRange
+from .errors import StencilOutOfRange
 from .grid import CellAverageField, Mesh, PointValueField
 from .numerics import (
     CELL,
@@ -24,8 +24,6 @@ from .numerics import (
     NODE,
     float_entry,
     get_backend,
-    is_float_data,
-    promote_integers,
     trace_table,
 )
 from .stability import (
@@ -174,6 +172,8 @@ class FuzzConfig:
             raise ValueError("cells must be >= 2")
         if not self.orders or any(p < 1 for p in self.orders):
             raise ValueError("orders must be a nonempty sequence of p >= 1")
+        if len(set(self.orders)) != len(self.orders):
+            raise ValueError("orders must be distinct")
         if not 0 < self.width_low <= self.width_high:
             raise ValueError("cell widths need 0 < low <= high")
         if not math.isfinite(self.width_high * WIDTH_DENOMINATOR):
@@ -268,7 +268,16 @@ def _trial_inputs(config, trial):
 
 
 def _run_fuzz_trial(config, trial):
-    """Evaluate one trial; returns a JSON-safe, order-independent payload."""
+    """Evaluate one trial; returns a picklable tuple of plain values.
+
+    (counts, max_ratio, bound, best, inputs, witnesses): the interface,
+    violation, bound-exceedance and oracle-mismatch counts, read off the
+    check loop's columns as `enokit verify` reads them; each fitting
+    order's largest ratio (None if no data jump is nonzero) and largest
+    bound; the key (ratio, -trial, -order, -index) of the trial's largest
+    ratio, or None; the serialized coordinates and data; and a witness for
+    each check that fails at a breakpoint.
+    """
     backend = get_backend(config.backend)
     coords, values = _trial_inputs(config, trial)
     reconstruction = config.kind == "reconstruction"
@@ -283,75 +292,35 @@ def _run_fuzz_trial(config, trial):
         field = PointValueField(coords, values)
     coordinates = [backend.serialize(x) for x in coords]
     data = [backend.serialize(v) for v in values]
-    payload = {
-        "interfaces": 0,
-        "violations": 0,
-        "bound_exceedances": 0,
-        "oracle_mismatches": 0,
-        "max_ratio": {},
-        "bound": {},
-        "best": None,
-        "violation_witnesses": [],
-    }
-
-    def witness(order, t, reason):
-        return {
-            "trial": trial,
-            "order": order,
-            "index": t.index,
-            "reason": reason,
-            "coordinates": coordinates,
-            "data": data,
-            "left": backend.serialize(t.left),
-            "right": backend.serialize(t.right),
-            "data_jump": backend.serialize(t.data_jump),
-        }
-
+    counts = (0, 0, 0, 0)
+    max_ratio = {}
+    bound = {}
+    best = None
+    witnesses = []
     for p, traces, report, agrees, bounds, within in check_orders(field, orders):
-        payload["interfaces"] += len(traces)
-        best_ratio = None
-        for i, (index, verdict, ratio, agree, fits) in enumerate(zip(
-                traces.index, report.verdicts, report.ratios, agrees, within)):
-            if verdict == "VIOLATION":
-                payload["violations"] += 1
-                payload["violation_witnesses"].append(
-                    witness(p, traces[i], "sign"))
-            if not fits:
-                payload["bound_exceedances"] += 1
-                payload["violation_witnesses"].append(
-                    witness(p, traces[i], "bound"))
-            if ratio is not None and (best_ratio is None or ratio > best_ratio):
-                best_ratio = ratio
-                candidate = (trial, p, index)
-            if not agree:
-                payload["oracle_mismatches"] += 1
-                payload["violation_witnesses"].append(
-                    witness(p, traces[i], "oracle"))
-        payload["max_ratio"][p] = (
-            None if best_ratio is None else backend.serialize(best_ratio))
-        payload["bound"][p] = EXACT.serialize(max(bounds))
-        if best_ratio is not None:
-            entry = {
-                "ratio": backend.serialize(best_ratio),
-                "trial": candidate[0],
-                "order": candidate[1],
-                "index": candidate[2],
-                "coordinates": coordinates,
-                "data": data,
-            }
-            if payload["best"] is None or _witness_beats(
-                    backend, entry, payload["best"]):
-                payload["best"] = entry
-    return payload
-
-
-def _witness_beats(backend, challenger, incumbent):
-    a = backend.parse(challenger["ratio"])
-    b = backend.parse(incumbent["ratio"])
-    if a != b:
-        return a > b
-    key = ("trial", "order", "index")
-    return tuple(challenger[k] for k in key) < tuple(incumbent[k] for k in key)
+        tally = (len(traces), report.violations, within.count(False),
+                 agrees.count(False))
+        counts = tuple(map(sum, zip(counts, tally)))
+        max_ratio[p] = report.max_ratio
+        bound[p] = max(bounds)
+        if report.max_ratio is not None:
+            index = traces.index[report.ratios.index(report.max_ratio)]
+            key = (report.max_ratio, -trial, -p, -index)
+            best = key if best is None else max(best, key)
+        if not any(tally[1:]):
+            continue
+        # The report sorts the witnesses, so each reason is collected in turn.
+        for reason, passed in (
+                ("sign", [v != "VIOLATION" for v in report.verdicts]),
+                ("bound", within), ("oracle", agrees)):
+            for t in (traces[i] for i, ok in enumerate(passed) if not ok):
+                witnesses.append(dict(
+                    trial=trial, order=p, index=t.index, reason=reason,
+                    coordinates=coordinates, data=data,
+                    left=backend.serialize(t.left),
+                    right=backend.serialize(t.right),
+                    data_jump=backend.serialize(t.data_jump)))
+    return counts, max_ratio, bound, best, (coordinates, data), witnesses
 
 
 def fuzz_sign_property(config, workers=1):
@@ -360,6 +329,7 @@ def fuzz_sign_property(config, workers=1):
     Deterministic for a fixed config: trials draw from per-trial RNG
     streams and every aggregate is order-independent, so any workers
     value (and any trial interleaving) produces the identical report.
+    Trials hand back values; the report serializes each one once.
 
     Args:
         config: FuzzConfig.
@@ -378,37 +348,26 @@ def fuzz_sign_property(config, workers=1):
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(runner, trial_ids, chunksize=chunk))
+            results = list(pool.map(runner, trial_ids, chunksize=chunk))
     else:
-        payloads = [runner(t) for t in trial_ids]
+        results = [runner(t) for t in trial_ids]
     backend = get_backend(config.backend)
-    interfaces = 0
-    violations = 0
-    exceedances = 0
-    mismatches = 0
+    counts, ratios, bounds, bests, inputs, witnesses = zip(*results)
+    interfaces, violations, exceedances, mismatches = map(sum, zip(*counts))
+    # Every trial fits the same orders. Among equal ratios, max keeps the
+    # earliest trial's.
     max_ratio = {}
-    bound = {}
-    best = None
-    witnesses = []
-    for payload in payloads:
-        interfaces += payload["interfaces"]
-        violations += payload["violations"]
-        exceedances += payload["bound_exceedances"]
-        mismatches += payload["oracle_mismatches"]
-        for p, text in payload["max_ratio"].items():
-            if text is None:
-                max_ratio.setdefault(p, None)
-            elif max_ratio.get(p) is None or backend.parse(text) > backend.parse(
-                    max_ratio[p]):
-                max_ratio[p] = text
-        for p, text in payload["bound"].items():
-            if p not in bound or EXACT.parse(text) > EXACT.parse(bound[p]):
-                bound[p] = text
-        if payload["best"] is not None and (
-                best is None or _witness_beats(backend, payload["best"], best)):
-            best = payload["best"]
-        witnesses.extend(payload["violation_witnesses"])
-    witnesses.sort(key=lambda w: (w["trial"], w["order"], w["index"], w["reason"]))
+    for p in sorted(ratios[0]):
+        top = max((r[p] for r in ratios if r[p] is not None), default=None)
+        max_ratio[p] = None if top is None else backend.serialize(top)
+    best = max((key for key in bests if key is not None), default=None)
+    worst = None
+    if best is not None:
+        ratio, trial, order, index = best
+        coordinates, data = inputs[-trial]
+        worst = dict(ratio=backend.serialize(ratio), trial=-trial,
+                     order=-order, index=-index, coordinates=coordinates,
+                     data=data)
     return FuzzReport(
         config=config,
         trials_run=config.trials,
@@ -416,10 +375,13 @@ def fuzz_sign_property(config, workers=1):
         violations=violations,
         bound_exceedances=exceedances,
         oracle_mismatches=mismatches,
-        max_ratio_per_order={p: max_ratio.get(p) for p in sorted(max_ratio)},
-        bound_per_order={p: bound[p] for p in sorted(bound)},
-        worst_witness=best,
-        violation_witnesses=tuple(witnesses),
+        max_ratio_per_order=max_ratio,
+        bound_per_order={p: EXACT.serialize(max(b[p] for b in bounds))
+                         for p in sorted(bounds[0])},
+        worst_witness=worst,
+        violation_witnesses=tuple(sorted(
+            (w for trial_witnesses in witnesses for w in trial_witnesses),
+            key=lambda w: (w["trial"], w["order"], w["index"], w["reason"]))),
     )
 
 
@@ -495,43 +457,3 @@ def convergence_study(sampler, orders, resolutions, domain=(0.0, 1.0)):
         log_e = np.log(np.maximum(np.asarray(row, dtype=float), 1e-300))
         rates.append(float(-np.polyfit(log_n, log_e, 1)[0]))
     return RateTable(orders, resolutions, tuple(errors), tuple(rates))
-
-
-# ---- Independent evaluation oracle ----
-
-def lagrange_oracle(points, values, x):
-    """Interpolant value at x by direct Lagrange basis summation.
-
-    Independent of the Newton form: no divided differences, no stagewise
-    ordering. Exact for exact inputs.
-
-    Raises:
-        ShapeError: length mismatch or empty input.
-        InvalidMesh: duplicate points.
-    """
-    pts = list(points)
-    vals = list(values)
-    if len(pts) != len(vals):
-        raise ShapeError(f"{len(pts)} points but {len(vals)} values")
-    if not pts:
-        raise ShapeError("empty point set")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise InvalidMesh(f"duplicate point at indices {i} and {j}")
-    if is_float_data(pts) or is_float_data(vals) or isinstance(x, float):
-        pts = [float(v) for v in pts]
-        vals = [float(v) for v in vals]
-        x = float(x)
-    else:
-        pts = promote_integers(pts)
-        vals = promote_integers(vals)
-        x = promote_integers([x])[0]
-    total = vals[0] - vals[0]
-    for i in range(len(pts)):
-        term = vals[i]
-        for j in range(len(pts)):
-            if j != i:
-                term = term * (x - pts[j]) / (pts[i] - pts[j])
-        total = total + term
-    return total

@@ -500,6 +500,48 @@ def test_fuzz_rejects_bad_orders(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fuzz", "--orders", "1,x"),
+     "--orders expects a comma-separated integer list"),
+    (("fuzz", "--orders", ","), "--orders expects a nonempty list"),
+    (("fuzz", "--trials", "3", "--cells", "12", "--orders", "2,2"),
+     "orders must be distinct"),
+    (("converge", "--orders", "1", "--resolutions", "8,y"),
+     "--resolutions expects a comma-separated integer list"),
+    (("converge", "--resolutions", " , "),
+     "--resolutions expects a nonempty list"),
+    (("bounds", "--order", "2"),
+     "bounds needs exactly one of --uniform or --input"),
+    (("bounds", "--order", "2", "--uniform", "--input", "{cells}"),
+     "bounds needs exactly one of --uniform or --input"),
+], ids=["orders-list", "orders-empty", "orders-repeated",
+        "resolutions-list", "resolutions-empty", "bounds-neither",
+        "bounds-both"])
+def test_argument_errors_name_no_csv_line(capsys, cells_csv, argv, message):
+    """Errors that no CSV line caused are one unnumbered line on stderr. A
+    repeated fuzz order would be checked, counted and witnessed twice."""
+    argv = [arg.format(cells=cells_csv) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("reconstruct", "--order", "1"),
+    ("interpolate", "--order", "1"),
+    ("verify", "--order", "1"),
+    ("bounds", "--order", "1"),
+], ids=lambda command: command[0])
+def test_unreadable_input_names_no_csv_line(capsys, tmp_path, command):
+    missing = str(tmp_path / "nope.csv")
+    code, out, err = run(capsys, *command, "--input", missing)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot read {missing}: [Errno 2] "
+                   f"No such file or directory: {missing!r}\n")
+
+
 def test_converge_table(capsys):
     code, out, _ = run(capsys, "converge", "--orders", "1,2",
                        "--resolutions", "8,16,32")

@@ -12,8 +12,6 @@ from enokit import (
     EXACT,
     CellAverageField,
     FuzzConfig,
-    InvalidMesh,
-    ShapeError,
     StencilOutOfRange,
     convergence_study,
     fuzz_sign_property,
@@ -21,7 +19,6 @@ from enokit import (
     PointValueField,
     bound_constants_recursive,
     interface_traces,
-    lagrange_oracle,
     midpoint_traces,
     primitive_from_averages,
     uniform_bound_Cp,
@@ -33,7 +30,7 @@ from enokit.harness import _trial_inputs, check_orders
 from enokit.numerics import ExactBackend, _gmpy2, field_table, float_entry, \
     trace_table
 
-from conftest import random_fraction_mesh, random_int_values
+from conftest import _lagrange_value, random_fraction_mesh, random_int_values
 
 
 def test_worst_case_structure():
@@ -75,6 +72,8 @@ def test_fuzz_config_validation():
         FuzzConfig(orders=())
     with pytest.raises(ValueError):
         FuzzConfig(orders=(0,))
+    with pytest.raises(ValueError, match="^orders must be distinct$"):
+        FuzzConfig(orders=(1, 3, 1))
     with pytest.raises(ValueError):
         FuzzConfig(width_low=0.0)
     with pytest.raises(ValueError):
@@ -312,29 +311,6 @@ def test_convergence_validation():
         convergence_study(sine, (3,), (4, 8))
 
 
-def test_lagrange_oracle_validation():
-    with pytest.raises(InvalidMesh):
-        lagrange_oracle([0, 0, 1], [1, 2, 3], 0.5)
-    with pytest.raises(ShapeError):
-        lagrange_oracle([0, 1], [1], 0.5)
-    with pytest.raises(ShapeError):
-        lagrange_oracle([], [], 0.5)
-
-
-def test_lagrange_oracle_reproduces_polynomials():
-    coeffs = [Fraction(1), Fraction(-2), Fraction(3, 4)]
-
-    def value(x):
-        return sum(c * x ** k for k, c in enumerate(coeffs))
-
-    xs = [Fraction(k) for k in range(3)]
-    vs = [value(x) for x in xs]
-    at = Fraction(7, 3)
-    assert lagrange_oracle(xs, vs, at) == value(at)
-    assert lagrange_oracle([0.0, 1.0, 2.0], [float(v) for v in vs], 2.5) \
-        == pytest.approx(float(value(Fraction(5, 2))), rel=1e-12)
-
-
 def test_lagrange_oracle_matches_newton_form():
     from enokit import PointValueField, interpolant_at_node
 
@@ -344,6 +320,84 @@ def test_lagrange_oracle_matches_newton_form():
     field = PointValueField(xs, vs)
     poly = interpolant_at_node(field, 4, 3)
     at = Fraction(1, 7) + xs[4]
-    assert lagrange_oracle(poly.points, [
+    assert _lagrange_value(poly.points, [
         vs[list(xs).index(pt)] for pt in poly.points
     ], at) == poly.value(at)
+
+
+def _plant_failures(monkeypatch):
+    """Plant all three failure reasons into check_orders: a consistent
+    SignReport with every 5th verdict turned VIOLATION, every bound / 1000,
+    and every 7th telescoped jump off by 1."""
+    import enokit.harness as harness_mod
+    from enokit import SignReport
+
+    real_report = harness_mod.sign_report
+    real_bounds = harness_mod.position_bounds
+    real_jumps = harness_mod.telescoped_jumps
+
+    def report(traces):
+        honest = real_report(traces)
+        verdicts = tuple("VIOLATION" if i % 5 == 0 else v
+                         for i, v in enumerate(honest.verdicts))
+        return SignReport(verdicts, honest.ratios,
+                          verdicts.count("VIOLATION"), honest.max_ratio)
+
+    def bounds(*args, **kwargs):
+        return {p: {i: bound / 1000 for i, bound in at_p.items()}
+                for p, at_p in real_bounds(*args, **kwargs).items()}
+
+    def jumps(*args, **kwargs):
+        return [jump + 1 if i % 7 == 0 else jump
+                for i, jump in enumerate(real_jumps(*args, **kwargs))]
+
+    monkeypatch.setattr(harness_mod, "sign_report", report)
+    monkeypatch.setattr(harness_mod, "position_bounds", bounds)
+    monkeypatch.setattr(harness_mod, "telescoped_jumps", jumps)
+
+
+def _fuzz_digest(configs, workers=1):
+    digest = hashlib.sha256()
+    for config in configs:
+        digest.update(fuzz_sign_property(config, workers).to_json().encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+FLOAT_FUZZ_CONFIGS = [
+    FuzzConfig(seed=seed, trials=30, backend="float", kind=kind,
+               distribution=distribution)
+    for kind in ("reconstruction", "interpolation")
+    for seed in (0, 3)
+    for distribution in ("mixed", "uniform-int")]
+PLANTED_FUZZ_CONFIGS = [
+    FuzzConfig(seed=seed, trials=6, cells=16, backend=backend, kind=kind)
+    for backend in ("exact", "float")
+    for kind in ("reconstruction", "interpolation")
+    for seed in (1, 2)]
+# sha256 over the to_json() of the reports of the configs above, one line
+# each, recorded before fuzz trials read their counts off the check loop's
+# columns.
+FLOAT_FUZZ_DIGEST = (
+    "7fcff07f49d9f59f8b4cf0ad56d24afa0d045627cff494a80c049aec96ce53ae")
+PLANTED_FUZZ_DIGEST = (
+    "301e9c6e55c07b4b7a5f1a6154ac5464df99e6aa5f943501804e8fa433a05926")
+
+
+def test_float_fuzz_reports_are_pinned():
+    assert _fuzz_digest(FLOAT_FUZZ_CONFIGS) == FLOAT_FUZZ_DIGEST
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_planted_fuzz_reports_are_pinned(monkeypatch, workers):
+    """Every failure reason leaves its witnesses, counted and ordered the
+    same in serial and parallel runs."""
+    _plant_failures(monkeypatch)
+    reports = [fuzz_sign_property(config, workers)
+               for config in PLANTED_FUZZ_CONFIGS]
+    for report in reports:
+        reasons = {w["reason"] for w in report.violation_witnesses}
+        assert reasons == {"sign", "bound", "oracle"}
+        assert report.violations and report.bound_exceedances \
+            and report.oracle_mismatches
+    assert _fuzz_digest(PLANTED_FUZZ_CONFIGS, workers) == PLANTED_FUZZ_DIGEST

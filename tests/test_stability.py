@@ -37,7 +37,7 @@ from enokit.harness import WIDTH_DENOMINATOR, FuzzConfig, _trial_inputs
 from enokit.numerics import EXACT
 from enokit.stability import TraceBatch, telescoped_terms_reconstruction
 
-from conftest import random_fraction_mesh, random_int_values
+from conftest import _lagrange_value, random_fraction_mesh, random_int_values
 
 T1 = [1, 2, Fraction(10, 3), Fraction(16, 3), Fraction(128, 15),
       Fraction(208, 15)]
@@ -264,14 +264,13 @@ def test_telescoped_identity_for_every_signature_pair(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_telescoped_interpolation_identity_for_every_pair(p):
     from enokit import PointSignature
-    from enokit.harness import lagrange_oracle
     from enokit.numerics import halfway
 
     def value_at(node, offsets, x):
         # The interpolant over the final stencil's nodes, evaluated
         # without divided differences.
         first = node + offsets[-1]
-        return lagrange_oracle(xs[first:first + p],
+        return _lagrange_value(xs[first:first + p],
                                field.values[first:first + p], x)
 
     rng = random.Random(14)
