@@ -6,6 +6,13 @@ stderr, line-numbered for CSV input), 3 data window too small for the
 requested order, 4 violations, bound exceedances or oracle mismatches
 found by verify or fuzz. Outputs are byte-stable for a fixed seed,
 backend, and argument set.
+
+CSV input is read by columns: each column of scalars is parsed in one
+pass (the backend's parse of the stripped cell, see FloatBackend.convert
+and ExactBackend.convert), a cell's x_left is not parsed again when its
+text is the previous row's x_right, and the row checks then run over the
+parsed columns. The fault reported is the first in file order, the one
+a row-by-row read would meet. Trace rows are serialized column by column.
 """
 
 import argparse
@@ -14,6 +21,8 @@ import io
 import json
 import math
 import sys
+from itertools import compress, repeat
+from operator import add, eq, lt, ne
 
 from .eno_interpolation import midpoint_traces
 from .eno_reconstruction import interface_traces
@@ -28,13 +37,14 @@ from .harness import (
 )
 from .numerics import EXACT, get_backend, quotient
 from .stability import (
-    bound_Cp,
-    bound_cp,
+    max_bounds,
     sign_report,
     uniform_bound_Cp,
     uniform_bound_cp,
 )
 
+CELL_HEADER = ("x_left", "x_right", "avg")
+POINT_HEADER = ("x", "value")
 TRACE_HEADER = ("x", "v_minus", "v_plus", "data_jump", "ratio_or_CONT",
                 "sig_left", "sig_right")
 SAMPLERS = {
@@ -54,74 +64,133 @@ class _CsvError(ValueError):
 _SCALAR_ERRORS = (ValueError, ZeroDivisionError, TypeError, OverflowError)
 
 
-def _parse_scalar(backend, text, line, column):
-    try:
-        return backend.parse(text.strip())
-    except _SCALAR_ERRORS:
-        raise _CsvError(line, f"column {column}: unparsable scalar {text.strip()!r}")
+def _text_columns(path, header):
+    """The data rows of a CSV as text columns, one per header name.
 
-
-def _read_rows(path, expected_header):
+    Returns (lines, columns, fault): the 1-based line of each data row,
+    the columns, and the _CsvError of the first row with another column
+    count, which ends the data rows, or None. Blank lines are skipped.
+    """
     try:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     if not rows:
-        raise _CsvError(1, f"empty file; expected header {','.join(expected_header)}")
-    header = tuple(cell.strip() for cell in rows[0])
-    if header != expected_header:
+        raise _CsvError(1, f"empty file; expected header {','.join(header)}")
+    if tuple(cell.strip() for cell in rows[0]) != header:
         raise _CsvError(
-            1,
-            f"expected header {','.join(expected_header)}; got {','.join(rows[0])}",
-        )
-    return rows
+            1, f"expected header {','.join(header)}; got {','.join(rows[0])}")
+    lines = []
+    kept = []
+    fault = None
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            if not row:
+                continue
+            fault = _CsvError(
+                line, f"expected {len(header)} columns; got {len(row)}")
+            break
+        lines.append(line)
+        kept.append(row)
+    if not kept:
+        raise fault or _CsvError(2, "no data rows")
+    return lines, list(zip(*kept)), fault
+
+
+def _parse_column(backend, texts):
+    """The scalars of a text column, up to the first cell that does not
+    parse: all of them, or as many as precede that cell.
+
+    Float columns are read by one float() pass, which gives what
+    backend.parse gives for every text it accepts; exact ones by one
+    backend.parse pass. When that pass fails, or a float comes out
+    non-finite, the column is read again cell by cell, which also reads
+    num/den floats.
+    """
+    try:
+        if backend.exact:
+            return list(map(backend.parse, texts))
+        values = list(map(add, map(float, texts), repeat(0.0)))
+        if math.isfinite(sum(values)):
+            return values
+    except _SCALAR_ERRORS:
+        pass
+    values = []
+    for text in texts:
+        try:
+            values.append(backend.parse(text.strip()))
+        except _SCALAR_ERRORS:
+            break
+    return values
+
+
+def _left_column(backend, texts, right_texts, rights):
+    """The x_left scalars of the cells, as _parse_column gives a column.
+
+    A row whose x_left text is the previous row's x_right text takes that
+    row's scalar unparsed; only the other texts are parsed. The list stops
+    at the first x_left that does not parse, or after the row that follows
+    the last parsed x_right, whichever comes first.
+    """
+    lefts = [None, *rights[:len(texts) - 1]]
+    fresh = [0, *compress(range(1, len(lefts)), map(ne, texts[1:], right_texts))]
+    values = _parse_column(backend, [texts[k] for k in fresh])
+    for k, value in zip(fresh, values):
+        lefts[k] = value
+    if len(values) < len(fresh):
+        del lefts[fresh[len(values)]:]
+    return lefts
+
+
+def _first_fault(lines, header, texts, columns, checks, fault):
+    """Raise the fault a row-by-row read would meet first.
+
+    Rows run their checks in order: each column's parse, then `checks`,
+    pairs (flags, message) whose flags[k] tells whether row k passes. The
+    rows every column parsed are checked first, then the row where a
+    column stopped, then the column-count fault that ended the rows.
+    """
+    parsed = min(map(len, columns))
+    failed = []
+    for rank, (flags, message) in enumerate(checks):
+        try:
+            failed.append((flags.index(False, 0, parsed), rank, message))
+        except ValueError:
+            pass
+    if failed:
+        row, _, message = min(failed)
+        raise _CsvError(lines[row], message)
+    for name, text, column in zip(header, texts, columns):
+        if len(column) == parsed < len(text):
+            raise _CsvError(lines[parsed], f"column {name}: unparsable scalar "
+                                           f"{text[parsed].strip()!r}")
+    if fault:
+        raise fault
 
 
 def _read_cells(path, backend):
     """Cell CSV (x_left, x_right, avg) to a CellAverageField."""
-    rows = _read_rows(path, ("x_left", "x_right", "avg"))
-    interfaces = []
-    averages = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise _CsvError(line, f"expected 3 columns; got {len(row)}")
-        left = _parse_scalar(backend, row[0], line, "x_left")
-        right = _parse_scalar(backend, row[1], line, "x_right")
-        avg = _parse_scalar(backend, row[2], line, "avg")
-        if not left < right:
-            raise _CsvError(line, "x_left must be smaller than x_right")
-        if interfaces and left != interfaces[-1]:
-            raise _CsvError(line, "x_left must equal the previous row's x_right")
-        if not interfaces:
-            interfaces.append(left)
-        interfaces.append(right)
-        averages.append(avg)
-    if not averages:
-        raise _CsvError(2, "no data rows")
-    return CellAverageField(Mesh(interfaces), averages)
+    lines, texts, fault = _text_columns(path, CELL_HEADER)
+    left_texts, right_texts, average_texts = texts
+    rights = _parse_column(backend, right_texts)
+    lefts = _left_column(backend, left_texts, right_texts, rights)
+    averages = _parse_column(backend, average_texts)
+    _first_fault(lines, CELL_HEADER, texts, (lefts, rights, averages), (
+        (list(map(lt, lefts, rights)), "x_left must be smaller than x_right"),
+        ([True, *map(eq, lefts[1:], rights)],
+         "x_left must equal the previous row's x_right"),
+    ), fault)
+    return CellAverageField(Mesh([lefts[0], *rights]), averages)
 
 
 def _read_points(path, backend):
     """Point CSV (x, value) to a PointValueField."""
-    rows = _read_rows(path, ("x", "value"))
-    nodes = []
-    values = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise _CsvError(line, f"expected 2 columns; got {len(row)}")
-        x = _parse_scalar(backend, row[0], line, "x")
-        value = _parse_scalar(backend, row[1], line, "value")
-        if nodes and not nodes[-1] < x:
-            raise _CsvError(line, "x must be strictly increasing")
-        nodes.append(x)
-        values.append(value)
-    if not nodes:
-        raise _CsvError(2, "no data rows")
+    lines, texts, fault = _text_columns(path, POINT_HEADER)
+    nodes, values = columns = [_parse_column(backend, t) for t in texts]
+    _first_fault(lines, POINT_HEADER, texts, columns, (
+        ([True, *map(lt, nodes, nodes[1:])], "x must be strictly increasing"),
+    ), fault)
     return PointValueField(nodes, values)
 
 
@@ -145,26 +214,25 @@ def _write_text(path, text):
 
 
 def _trace_rows(traces, backend):
-    labels = {signature: str(signature) for signature in
-              {*traces.left_signatures, *traces.right_signatures}}
-    rows = []
-    for x, left, right, d, jump, left_sig, right_sig in zip(
-            traces.location, traces.left, traces.right, traces.data_jump,
-            traces.jumps, traces.left_signatures, traces.right_signatures):
-        if d == 0:
-            ratio = "CONT"
-        else:
-            ratio = backend.serialize(quotient(jump, d))
-        rows.append((
-            backend.serialize(x),
-            backend.serialize(left),
-            backend.serialize(right),
-            backend.serialize(d),
-            ratio,
-            labels[left_sig],
-            labels[right_sig],
-        ))
-    return rows
+    """The rows of a TraceBatch, serialized column by column; each distinct
+    signature object is labelled once."""
+    serialize = backend.serialize
+    labels = {}
+    for signatures in (traces.left_signatures, traces.right_signatures):
+        labels.update(zip(map(id, signatures), signatures))
+    for key, signature in labels.items():
+        labels[key] = str(signature)
+    ratios = ["CONT" if d == 0 else serialize(quotient(jump, d))
+              for jump, d in zip(traces.jumps, traces.data_jump)]
+    return zip(
+        map(serialize, traces.location),
+        map(serialize, traces.left),
+        map(serialize, traces.right),
+        map(serialize, traces.data_jump),
+        ratios,
+        map(labels.__getitem__, map(id, traces.left_signatures)),
+        map(labels.__getitem__, map(id, traces.right_signatures)),
+    )
 
 
 def _cmd_reconstruct(args):
@@ -212,21 +280,17 @@ def _cmd_bounds(args):
         raise ValueError("bounds needs exactly one of --uniform or --input")
     if args.order < 1:
         raise ValueError("order must be >= 1")
-    rows = []
+    orders = range(1, args.order + 1)
     if args.uniform:
         closed = uniform_bound_Cp if args.kind == "reconstruction" else uniform_bound_cp
-        for p in range(1, args.order + 1):
-            rows.append((p, EXACT.serialize(closed(p))))
+        bounds = map(closed, orders)
+    elif args.kind == "reconstruction":
+        bounds = max_bounds(_read_cells(args.input, EXACT).mesh, orders)
     else:
-        if args.kind == "reconstruction":
-            coords = _read_cells(args.input, EXACT).mesh
-            at = bound_Cp
-        else:
-            coords = _read_points(args.input, EXACT).nodes
-            at = bound_cp
-        for p in range(1, args.order + 1):
-            rows.append((p, EXACT.serialize(at(coords, p))))
-    _write_rows(args.output, ("p", "bound"), rows)
+        bounds = max_bounds(_read_points(args.input, EXACT).nodes, orders,
+                            "interpolation")
+    _write_rows(args.output, ("p", "bound"),
+                zip(orders, map(EXACT.serialize, bounds)))
     return 0
 
 
@@ -258,7 +322,7 @@ def _cmd_worst_case(args):
         for i, avg in enumerate(field.averages):
             rows.append((backend.serialize(X[i]), backend.serialize(X[i + 1]),
                          backend.serialize(avg)))
-        _write_rows(args.construction, ("x_left", "x_right", "avg"), rows)
+        _write_rows(args.construction, CELL_HEADER, rows)
     _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
     return 4 if report.violations else 0
 

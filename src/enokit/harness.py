@@ -412,7 +412,7 @@ def convergence_study(sampler, orders, resolutions, domain=(0.0, 1.0)):
 
     Args:
         sampler: smooth callable on the domain, float to float.
-        orders: iterable of p >= 1.
+        orders: iterable of distinct p >= 1.
         resolutions: strictly increasing cell counts, at least two, each
             >= 2*max(orders).
         domain: (left, right) interval.
@@ -424,6 +424,8 @@ def convergence_study(sampler, orders, resolutions, domain=(0.0, 1.0)):
         raise ValueError("resolutions must be strictly increasing, two or more")
     if any(p < 1 for p in orders) or not orders:
         raise ValueError("orders must be a nonempty sequence of p >= 1")
+    if len(set(orders)) != len(orders):
+        raise ValueError("orders must be distinct")
     if resolutions[0] < 2 * max(orders):
         raise StencilOutOfRange(
             f"coarsest resolution {resolutions[0]} cannot host order {max(orders)}"

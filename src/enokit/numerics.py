@@ -266,15 +266,58 @@ class ExactBackend:
 
         Strings may be integers, decimals, or num/den fractions; decimals
         convert by their printed value ("0.1" becomes 1/10). Floats convert
-        to their exact binary value.
+        to their exact binary value. The forms [-]digits[.digits]
+        [(e|E)[+-]digits] and [-]digits/digits are read with int(); every
+        other string (a + sign, _ separators, surrounding whitespace,
+        ".5", "1.", or anything malformed) goes to Fraction(str), so values
+        and errors are Fraction's for every string. Digits are the Unicode
+        decimal digits (str.isdecimal), which int() and Fraction's \\d both
+        accept.
         """
         if type(x) is int:
             return self._make(x, 1)
-        if isinstance(x, float):
+        if type(x) is str:
+            value = self._read_text(x)
+            if value is not None:
+                return value
+        elif isinstance(x, float):
             return self._make(*x.as_integer_ratio())
         if not isinstance(x, Fraction):
             x = Fraction(x)
         return self._make(x.numerator, x.denominator)
+
+    def _read_text(self, text):
+        """The rational a string of convert's int() forms spells, or None
+        for any other string."""
+        negative = text[:1] == "-"
+        body = text[1:] if negative else text
+        if body.isdecimal():
+            n, d = int(body), 1
+        elif "/" in body:
+            num, _, den = body.partition("/")
+            if not (num.isdecimal() and den.isdecimal()):
+                return None
+            n, d = int(num), int(den)
+        else:
+            mantissa, e, exponent = body.partition("e" if "e" in body else "E")
+            whole, dot, fraction = mantissa.partition(".")
+            if not (whole.isdecimal() and (fraction.isdecimal() or not dot)):
+                return None
+            # The whole and fraction digits are two int() calls, as in
+            # Fraction, so int()'s digit limit applies to each alone.
+            n, d = int(whole), 10 ** len(fraction)
+            if fraction:
+                n = n * d + int(fraction)
+            if e:
+                digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+                if not digits.isdecimal():
+                    return None
+                power = int(exponent)
+                if power < 0:
+                    d *= 10 ** -power
+                else:
+                    n *= 10 ** power
+        return self._make(-n if negative else n, d)
 
     def parse(self, text):
         """Read a scalar from its serialized form."""

@@ -66,9 +66,9 @@ class TraceBatch:
     the matching InterfaceTrace. The batch is a read-only sequence of
     those traces: len, integer (also negative) indexing and iteration
     build InterfaceTrace objects only for the elements asked for.
-    `approximate` is True for binary64 data, False for exact data, and
-    None when the verdicts must look at each trace's scalars. `jumps`, the
-    column right - left, is built once, on first read.
+    `approximate` is True for binary64 data and False for exact data; it
+    picks the verdict rule of sign_report. `jumps`, the column
+    right - left, is built once, on first read.
     """
 
     index: object
@@ -78,7 +78,7 @@ class TraceBatch:
     data_jump: object
     left_signatures: object
     right_signatures: object
-    approximate: object = None
+    approximate: bool
 
     @cached_property
     def jumps(self):
@@ -109,18 +109,25 @@ class TraceBatch:
 
 def trace_columns(traces):
     """The traces as a TraceBatch: a batch as it is, any other iterable of
-    InterfaceTrace read into columns, its verdicts decided trace by trace."""
+    InterfaceTrace read into columns. As float_entry decides for fields,
+    the batch is approximate, its left, right and data_jump columns all
+    float, when any trace holds a float there; so a list mixing float and
+    exact traces is judged in float."""
     if isinstance(traces, TraceBatch):
         return traces
     traces = list(traces)
+    scalars = ([t.left for t in traces], [t.right for t in traces],
+               [t.data_jump for t in traces])
+    approximate = any(map(is_float_data, scalars))
+    if approximate:
+        scalars = [list(map(float, column)) for column in scalars]
     return TraceBatch(
         [t.index for t in traces],
         [t.location for t in traces],
-        [t.left for t in traces],
-        [t.right for t in traces],
-        [t.data_jump for t in traces],
+        *scalars,
         [t.left_signature for t in traces],
         [t.right_signature for t in traces],
+        approximate,
     )
 
 
@@ -179,31 +186,22 @@ def _float_verdicts(left, right, data_jump):
     return verdicts, ratios
 
 
-def _verdict_any(left, right, d):
-    if is_float_data((left, right, d)):
-        (verdict,), (ratio,) = _float_verdicts((left,), (right,), (d,))
-        return verdict, ratio
-    return _verdict_exact(right - left, d)
-
-
 def sign_report(traces):
     """Classify every trace pair and aggregate the verdicts.
 
     Exact scalars get strict verdicts; float scalars tolerate wrong-signed
     jumps up to FLOAT_SIGN_TOL times the local scale before flagging, so
     round-off is not reported as a violation. `traces` is a TraceBatch or
-    any iterable of InterfaceTrace. A float batch is judged column-wise,
-    an exact one on its `jumps`, any other trace by trace.
+    any iterable of InterfaceTrace (see trace_columns). An approximate
+    batch is judged column-wise, an exact one on its `jumps`.
     """
     batch = trace_columns(traces)
     if batch.approximate:
         verdicts, ratios = map(tuple, _float_verdicts(
             batch.left, batch.right, batch.data_jump))
     else:
-        judged = (map(_verdict_exact, batch.jumps, batch.data_jump)
-                  if batch.approximate is False else
-                  map(_verdict_any, batch.left, batch.right, batch.data_jump))
-        verdicts, ratios = tuple(zip(*judged)) or ((), ())
+        verdicts, ratios = tuple(zip(*map(
+            _verdict_exact, batch.jumps, batch.data_jump))) or ((), ())
     max_ratio = max((r for r in ratios if r is not None), default=None)
     return SignReport(verdicts, ratios, verdicts.count("VIOLATION"), max_ratio)
 
@@ -525,14 +523,24 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     return bounds
 
 
-def _max_bound(mesh, p, kind):
-    bounds = position_bounds(mesh, (p,), kind)[p]
-    if not bounds:
-        raise StencilOutOfRange(
-            f"no order-{p} {kind} window fits on "
-            f"{len(_coordinates(mesh))} coordinates"
-        )
-    return max(bounds.values())
+def max_bounds(mesh, orders, kind="reconstruction"):
+    """Largest aggregated jump bound of each order over its admissible
+    positions, from one position_bounds call: a list of exact rationals in
+    the order of `orders`, a sequence.
+
+    Raises:
+        StencilOutOfRange: the first order in `orders` whose window fits
+            nowhere on the mesh, found before any bound is computed.
+    """
+    shift = _kind_shift(kind)
+    count = len(_coordinates(mesh))
+    for p in orders:
+        # position_bounds' positions p - 1 + shift .. count - p - 1
+        if 2 * p + shift > count:
+            raise StencilOutOfRange(
+                f"no order-{p} {kind} window fits on {count} coordinates")
+    bounds = position_bounds(mesh, orders, kind)
+    return [max(bounds[p].values()) for p in orders]
 
 
 def bound_Cp(mesh, p):
@@ -541,7 +549,7 @@ def bound_Cp(mesh, p):
     Maximum of the aggregated bound over every admissible interface, as an
     exact rational.
     """
-    return _max_bound(mesh, p, "reconstruction")
+    return max_bounds(mesh, (p,), "reconstruction")[0]
 
 
 def bound_cp(mesh, p):
@@ -550,7 +558,7 @@ def bound_cp(mesh, p):
     Maximum of the aggregated bound over every admissible midpoint, as an
     exact rational.
     """
-    return _max_bound(mesh, p, "interpolation")
+    return max_bounds(mesh, (p,), "interpolation")[0]
 
 
 def uniform_bound_Cp(p):

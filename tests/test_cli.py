@@ -1,12 +1,25 @@
-"""Command-line front end: formats, exit codes, byte stability."""
+"""Command-line front end: formats, exit codes, byte stability.
 
+Run this file as a script to print the digest of the pinned CLI outputs:
+
+    python tests/test_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # a source checkout, run as a script
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import enokit
 from enokit.cli import main
@@ -506,6 +519,8 @@ def test_fuzz_rejects_bad_orders(capsys):
     (("fuzz", "--orders", ","), "--orders expects a nonempty list"),
     (("fuzz", "--trials", "3", "--cells", "12", "--orders", "2,2"),
      "orders must be distinct"),
+    (("converge", "--orders", "2,2", "--resolutions", "8,16"),
+     "orders must be distinct"),
     (("converge", "--orders", "1", "--resolutions", "8,y"),
      "--resolutions expects a comma-separated integer list"),
     (("converge", "--resolutions", " , "),
@@ -515,11 +530,12 @@ def test_fuzz_rejects_bad_orders(capsys):
     (("bounds", "--order", "2", "--uniform", "--input", "{cells}"),
      "bounds needs exactly one of --uniform or --input"),
 ], ids=["orders-list", "orders-empty", "orders-repeated",
-        "resolutions-list", "resolutions-empty", "bounds-neither",
+        "converge-orders-repeated", "resolutions-list", "resolutions-empty", "bounds-neither",
         "bounds-both"])
 def test_argument_errors_name_no_csv_line(capsys, cells_csv, argv, message):
     """Errors that no CSV line caused are one unnumbered line on stderr. A
-    repeated fuzz order would be checked, counted and witnessed twice."""
+    repeated fuzz order would be checked, counted and witnessed twice, a
+    repeated converge order printed twice."""
     argv = [arg.format(cells=cells_csv) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -552,3 +568,156 @@ def test_converge_table(capsys):
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "8"
     assert float(first[3]) > 0.6
+
+
+# Every scalar form a CSV cell may take: decimals, ints, num/den,
+# exponents, -0 (after a 0, so that a float -0.0 would show in a data
+# jump), padded cells, an x_left whose text differs from the previous
+# x_right but not its value, blank lines and Arabic-Indic digits.
+PINNED_CELLS = """x_left,x_right,avg
+-0,0.5,1
+0.5, 1 ,-0
+1,3/2,2.5e1
+3/2,2,-1/3
+
+2.0,2.25,7
+2.25,3,1E-2
+3,3.125,-0.000
+3.125,\u0664,\u0663
+4,5, 12
+5,5.5,-3
+5.5,6,1/7
+
+6,7,4
+7,7.75,0
+7.75,8,-0
+8,9,5e0
+9,1.0e1,-1.5
+10,11,2e-0
+"""
+PINNED_POINTS = """x,value
+-0,1
+0.5,-0
+1,2.5e1
+3/2,-1/3
+
+2.25,7
+ 3 ,1E-2
+3.125,-0.000
+\u0664,\u0663
+5,12
+5.5,-3
+6,1/7
+
+7,4
+7.75,0
+8,-0
+9,5e0
+1.0e1,-1.5
+11,2e-0
+"""
+# The same files with every num/den written as a decimal, so that the
+# float backend reads each of their columns in one float() pass.
+FRACTIONS_AS_DECIMALS = (("3/2", "1.5"), ("-1/3", "-0.25"), ("1/7", "0.125"))
+# Faults in several rows and columns; each suffix of the rows reports its
+# own first fault, the earliest row's, and within a row x_left, x_right,
+# avg, then the order checks. 1e400 overflows binary64 only.
+MALFORMED_CELLS = ("x_left,x_right,avg", (
+    "0,1,2", "1,2,1e400", "2, 3 ,x", "3,4,1", "4.5,5,1", "5,6", "6,1/0,2",
+    "y,7,z", "7,6,q", "8,9,1/-2", "9,10,1", "10,10.5,1", "10.50,11,2",
+    "11,10,3", "12,13,1", "1_3,14,1", "14,15,1", "1 5,16,1", "16,17,+1",
+))
+MALFORMED_POINTS = ("x,value", (
+    "0,1", "1,1e400", "2,x", "3,1", "3,2", "a,b", "4", "5,inf", "nan,1",
+    "6,--2", "7,2", " 8 , 1/3 ", "7.5,1", "9,1", "1_0,2", "1 1,3",
+))
+
+
+def _pinned_runs(directory):
+    """(label, argv) of every pinned run, the CSVs written into directory."""
+    def write(name, text):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return path
+
+    runs = []
+    for tag, rewrite in (("", ()), (" decimal", FRACTIONS_AS_DECIMALS)):
+        cells, points = PINNED_CELLS, PINNED_POINTS
+        for fraction, decimal in rewrite:
+            cells = cells.replace(fraction, decimal)
+            points = points.replace(fraction, decimal)
+        cells = write(f"cells{tag}.csv", cells)
+        points = write(f"points{tag}.csv", points)
+        for p in ("1", "3", "6", "9"):
+            for backend in ("exact", "float"):
+                runs += [
+                    (f"reconstruct{tag} {p} {backend}",
+                     ["reconstruct", "--input", cells, "--order", p,
+                      "--backend", backend]),
+                    (f"interpolate{tag} {p} {backend}",
+                     ["interpolate", "--input", points, "--order", p,
+                      "--backend", backend]),
+                    (f"verify cells{tag} {p} {backend}",
+                     ["verify", "--input", cells, "--order", p, "--backend",
+                      backend]),
+                    (f"verify points{tag} {p} {backend}",
+                     ["verify", "--input", points, "--kind", "interpolation",
+                      "--order", p, "--backend", backend]),
+                ]
+            runs += [
+                (f"bounds cells{tag} {p}",
+                 ["bounds", "--input", cells, "--order", p]),
+                (f"bounds points{tag} {p}",
+                 ["bounds", "--input", points, "--kind", "interpolation",
+                  "--order", p]),
+            ]
+    for name, (header, rows), commands in (
+            ("cells", MALFORMED_CELLS,
+             (["reconstruct"], ["verify"], ["bounds"])),
+            ("points", MALFORMED_POINTS,
+             (["interpolate"], ["verify", "--kind", "interpolation"],
+              ["bounds", "--kind", "interpolation"]))):
+        for start in range(len(rows)):
+            path = write(f"bad_{name}{start}.csv",
+                         "\n".join((header, *rows[start:])) + "\n")
+            for command in commands:
+                for backend in ((None,) if command[0] == "bounds"
+                                else ("exact", "float")):
+                    extra = [] if backend is None else ["--backend", backend]
+                    runs.append((f"{' '.join(command)} {name}{start} "
+                                 f"{backend}",
+                                 [*command, "--input", path, "--order", "1",
+                                  *extra]))
+    return runs
+
+
+def _pinned_digest():
+    """sha256 over the label, exit code, stdout and stderr of every pinned
+    run, in order."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as directory:
+        for label, argv in _pinned_runs(directory):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            digest.update(repr((label, code, out.getvalue(),
+                                err.getvalue())).encode())
+    return digest.hexdigest()
+
+
+def test_cli_outputs_are_pinned():
+    """Every byte the reading, checking and writing commands give on CSVs
+    of every accepted scalar form, with and without num/den cells, in both
+    backends, and the one error line and exit code of every suffix of two
+    malformed CSVs."""
+    assert _pinned_digest() == PINNED_CLI_DIGEST
+
+
+PINNED_CLI_DIGEST = (
+    "6f8dca6c8b32f38c7d9726ab1dc139b70beda41ef01a4d2c2ba0f79931fdbfa6")
+
+
+if __name__ == "__main__":
+    print(_pinned_digest())

@@ -311,6 +311,12 @@ def test_convergence_validation():
         convergence_study(sine, (3,), (4, 8))
 
 
+def test_convergence_rejects_repeated_orders():
+    """A repeated order would fit and report its rows twice."""
+    with pytest.raises(ValueError, match="orders must be distinct"):
+        convergence_study(math.sin, (2, 1, 2), (8, 16))
+
+
 def test_lagrange_oracle_matches_newton_form():
     from enokit import PointValueField, interpolant_at_node
 

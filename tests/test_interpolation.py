@@ -278,8 +278,8 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     assert sign_report(batch) == sign_report(list(batch))
 
     checked = list(check_orders(field, (p,)))
-    # The check loop judges a batch read from per-trace records, whose
-    # verdicts go trace by trace, as it judges the columnar one.
+    # The check loop judges a batch read from per-trace records as it
+    # judges the columnar one.
     monkeypatch.setattr(harness, "midpoint_traces",
                         lambda *args, **kwargs: trace_columns(list(batch)))
     [(order, traces, report, agrees, bounds, within)] = check_orders(

@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,102 @@ def test_exact_parse_decimal_is_exact():
     assert EXACT.parse("0.1") == Fraction(1, 10)
     assert EXACT.parse("1e-10") == Fraction(1, 10 ** 10)
     assert EXACT.parse("-7/3") == Fraction(-7, 3)
+
+
+# The string forms EXACT.convert reads with int(): ASCII or other Unicode
+# decimal digits (category Nd), leading zeros included.
+decimal_digits = st.text(
+    st.sampled_from("0123456789") | st.characters(categories=("Nd",)),
+    min_size=1, max_size=40)
+signs = st.sampled_from(("", "-"))
+decimal_forms = st.builds(
+    lambda sign, whole, fraction, exponent: sign + whole + fraction + exponent,
+    signs, decimal_digits,
+    st.just("") | decimal_digits.map(".".__add__),
+    st.just("") | st.builds(
+        "".join, st.tuples(st.sampled_from("eE"), st.sampled_from(("", "+", "-")),
+                           st.text(st.sampled_from("0123456789"), min_size=1,
+                                   max_size=2))))
+ratio_forms = st.builds(lambda sign, num, den: f"{sign}{num}/{den}",
+                        signs, decimal_digits, decimal_digits)
+fast_forms = (decimal_forms | ratio_forms
+              | st.sampled_from(("-0", "-0.000", "0/7", "-00/01", "1E+00")))
+
+
+def _fraction_outcome(text):
+    """Fraction's value of text, or the type of the error it raises."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _convert_outcome(text):
+    """EXACT.convert's value of text, of the backend's own type, or the
+    type of the error it raises."""
+    try:
+        value = EXACT.convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    assert type(value) is type(EXACT.convert(0)), text
+    return value
+
+
+@given(fast_forms)
+def test_exact_convert_reads_its_int_forms_as_fraction_does(text):
+    assert _convert_outcome(text) == _fraction_outcome(text)
+
+
+@given(fast_forms, st.sampled_from((" ", "\t", "\u3000")))
+def test_exact_convert_of_padded_and_signed_forms_is_fractions(text, pad):
+    for variant in (pad + text, text + pad, "+" + text.lstrip("-"),
+                    text.replace("0", "0_0", 1)):
+        assert _convert_outcome(variant) == _fraction_outcome(variant)
+
+
+def test_exact_convert_fast_forms_make_no_fraction(monkeypatch):
+    """The [-]digits[.digits][e[+-]digits] and [-]digits/digits forms are
+    read with int(), never with Fraction's regex."""
+    import enokit.numerics as numerics
+
+    expected = [Fraction(t) for t in ("1234.567", "-57", "2.5E-3", "-6/4")]
+
+    def refuse(*args):
+        raise AssertionError("Fraction(str) called")
+
+    monkeypatch.setattr(numerics, "Fraction", refuse)
+    got = [EXACT.convert(t) for t in ("1234.567", "-57", "2.5E-3", "-6/4")]
+    monkeypatch.undo()
+    assert got == expected
+
+
+@pytest.mark.parametrize("text", ["+1", "1_0", " 2 ", ".5", "1.", "-.5e1",
+                                  "1e1_0", "\u0663/\u0664"])
+def test_exact_convert_other_strings_go_to_fraction(text):
+    assert _convert_outcome(text) == Fraction(text)
+
+
+def test_exact_convert_digit_limit_applies_as_in_fraction():
+    """int() refuses more than sys.get_int_max_str_digits() digits, where
+    Python has that limit; the whole and fraction digits of a decimal are
+    read apart, as Fraction reads them, so each may come near it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    near = "1" * (limit - 1) + "." + "2" * (limit - 1)
+    over = "3" * (limit + 1)
+    for text in (near, "-" + near + "e-5", over, over + "/7", "7/" + over):
+        assert _convert_outcome(text) == _fraction_outcome(text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", ValueError), ("-", ValueError), (".", ValueError),
+    ("1..2", ValueError), ("--1", ValueError), ("1/0", ZeroDivisionError),
+    ("1/-2", ValueError), ("1e", ValueError), ("1/2e3", ValueError),
+    ("-/2", ValueError), ("1.5/2", ValueError),
+])
+def test_exact_convert_malformed_strings_raise_as_fraction(text, error):
+    assert _fraction_outcome(text) is error
+    with pytest.raises(error):
+        EXACT.convert(text)
 
 
 def test_exact_convert_float_is_binary_value():

@@ -35,7 +35,11 @@ from enokit import (
 import enokit.stability
 from enokit.harness import WIDTH_DENOMINATOR, FuzzConfig, _trial_inputs
 from enokit.numerics import EXACT
-from enokit.stability import TraceBatch, telescoped_terms_reconstruction
+from enokit.stability import (
+    TraceBatch,
+    telescoped_terms_reconstruction,
+    trace_columns,
+)
 
 from conftest import _lagrange_value, random_fraction_mesh, random_int_values
 
@@ -72,18 +76,25 @@ def test_exact_verdicts():
     assert report.counts == {"SameSign": 1, "Continuous": 2, "VIOLATION": 2}
 
 
-def test_mixed_trace_list_is_judged_trace_by_trace():
-    """A list mixing exact and float traces keeps each trace's own judge:
-    the same wrong-signed 1e-15 jump is a VIOLATION in exact scalars and
-    round-off in floats."""
+def test_mixed_trace_list_is_judged_in_float():
+    """A list mixing exact and float traces is judged in float, as a field
+    mixing exact and float scalars is: the wrong-signed 1e-15 jump that is
+    a VIOLATION in an all-exact list is round-off there, and every ratio
+    is the float one."""
     exact = _trace(Fraction(0), Fraction(-1, 10 ** 15), Fraction(1))
     approx = _trace(0.0, -1e-15, 1.0)
     mixed = [exact, approx, exact]
+    assert sign_report([exact]).verdicts == ("VIOLATION",)
+    batch = trace_columns(mixed)
+    assert batch.approximate is True
+    assert batch.right == [-1e-15] * 3
     report = sign_report(mixed)
-    assert report.verdicts == ("VIOLATION", "Continuous", "VIOLATION")
-    assert report.verdicts == tuple(sign_report([t]).verdicts[0] for t in mixed)
-    assert report.ratios[0] == Fraction(-1, 10 ** 15)
-    assert report.max_ratio == Fraction(-1, 10 ** 15)
+    assert report.verdicts == ("Continuous",) * 3
+    assert report == sign_report([approx] * 3)
+    assert report.max_ratio == -1e-15
+    assert trace_columns([exact]).approximate is False
+    for scalars in ((0.0, 1, 1), (0, 1.0, 1), (0, 1, 1.0)):
+        assert trace_columns([exact, _trace(*scalars)]).approximate is True
 
 
 def test_float_verdicts_tolerate_roundoff():
