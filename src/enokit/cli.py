@@ -255,14 +255,14 @@ def _cmd_verify(args):
     backend = get_backend(args.backend)
     p = args.order
     read = _read_cells if args.kind == "reconstruction" else _read_points
-    [(_, traces, report, agrees, bounds, within)] = check_orders(
+    [(_, traces, report, agrees, bound, within)] = check_orders(
         read(args.input, backend), (p,))
     payload = {
         "interfaces": len(traces),
         "violations": report.violations,
         "max_ratio": None if report.max_ratio is None
         else backend.serialize(report.max_ratio),
-        "bound": EXACT.serialize(max(bounds)),
+        "bound": EXACT.serialize(bound),
         "bound_exceedances": within.count(False),
         "seed": None,
         "order": p,

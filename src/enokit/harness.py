@@ -24,10 +24,13 @@ from .numerics import (
     NODE,
     float_entry,
     get_backend,
+    quotient,
     trace_table,
 )
 from .stability import (
-    position_bounds,
+    _bound_integers,
+    _stage_rows,
+    _window_pass,
     relative_jump,
     sign_report,
     telescoped_jumps,
@@ -102,17 +105,24 @@ def check_orders(field, orders):
     bound, over the coordinates' grid_integers when they have them.
     The distinct orders are traced in ascending order, so each resumes the
     stage-wise selection and evaluation the previous one left on the
-    table. Each order is one columnar pass: `telescoped_jumps` gives the
-    oracle's column, and it and the verdicts read the batch's `jumps`.
-    Yields (p, traces, sign_report(traces), agrees, bounds, within) in the
+    table. Each order is one columnar pass, and the verdicts read the
+    batch's `jumps`. One stability._window_pass call per order builds the
+    window products at every breakpoint once and gives each breakpoint's
+    jump bound as an int pair. On a table over grid_integers it also
+    decides the oracle there, cross-multiplying the telescoped sum with the
+    jump; any other table, and an approximate batch, gets the oracle's
+    column from `telescoped_jumps`, with its bound pairs on the points'
+    exact values scaled to ints, as position_bounds takes them.
+    Yields (p, traces, sign_report(traces), agrees, bound, within) in the
     order given; traces is a TraceBatch, and at its breakpoint i agrees[i]
-    says whether the telescoped jump equals traces.jumps[i], bounds[i] is
-    the exact jump bound there, from one position_bounds call on the
-    table's points, and within[i] whether the ratio is None or at most
-    bounds[i], compared exactly. Float data get ORACLE_FLOAT_TOL of slack
-    on both: of the jump's scale, and as the bound's factor 1 + tol.
-    Raises StencilOutOfRange, before yielding anything, when an order does
-    not fit the data.
+    says whether the telescoped jump equals traces.jumps[i] and within[i]
+    whether the ratio is None or at most the exact jump bound there,
+    compared by int cross-multiplication. bound is the largest of those
+    bounds, one exact rational (None for a batch with no breakpoint). An
+    approximate batch gets ORACLE_FLOAT_TOL of slack on both: of the
+    jump's scale, and as the bound's factor 1 + tol. Raises
+    StencilOutOfRange, before yielding anything, when an order does not
+    fit the data.
     """
     orders = tuple(orders)
     if not orders:
@@ -125,27 +135,65 @@ def check_orders(field, orders):
     coords, data, approximate = float_entry(coords, data)
     table = trace_table(coords, data, min(max(orders) + shift, len(coords) - 1),
                         shift, approximate)
-    bounds_at = position_bounds(table.points, set(orders), "reconstruction"
-                                if shift == CELL else "interpolation")
+    on_grid = type(table.points[0]) is int
+    X = table.points if on_grid else _bound_integers(table.points, shift)
+    rows = _stage_rows(X, max(orders), shift)
     slack = 1 + EXACT.convert(ORACLE_FLOAT_TOL)
     checked = {}
     for p in sorted(set(orders)):
         traces = traces_of(field, p, table=table)
-        telescoped = telescoped_jumps(table, traces, p, shift)
         report = sign_report(traces)
-        bounds = [bounds_at[p][index] for index in traces.index]
-        if approximate:
-            agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
-                      for tele, jump in zip(telescoped, traces.jumps)]
-            limits = [bound * slack for bound in bounds]
+        if on_grid and not traces.approximate:
+            nums, dens, agrees = _window_pass(
+                X, rows, p, shift, traces.index, table.levels[p + shift],
+                traces)
         else:
-            agrees = [tele == jump
-                      for tele, jump in zip(telescoped, traces.jumps)]
-            limits = bounds
-        within = [r is None or r <= limit for r, limit in zip(report.ratios, limits)]
-        checked[p] = p, traces, report, agrees, bounds, within
+            nums, dens, _ = _window_pass(X, rows, p, shift, traces.index)
+            telescoped = telescoped_jumps(table, traces, p, shift)
+            if traces.approximate:
+                agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
+                          for tele, jump in zip(telescoped, traces.jumps)]
+            else:
+                agrees = [tele == jump
+                          for tele, jump in zip(telescoped, traces.jumps)]
+        within = _within(report.ratios, nums, dens,
+                         slack if traces.approximate else None)
+        checked[p] = p, traces, report, agrees, _largest(nums, dens), within
     for p in orders:
         yield checked[p]
+
+
+def _largest(nums, dens):
+    """The largest of the ratios nums[i] / dens[i] of positive ints, one
+    rational, by cross-multiplication; None for no ratio."""
+    if not nums:
+        return None
+    num, den = nums[0], dens[0]
+    for n, d in zip(nums, dens):
+        if n * den > num * d:
+            num, den = n, d
+    return quotient(num, den)
+
+
+def _within(ratios, nums, dens, slack=None):
+    """Whether each ratio is None or at most nums[i] / dens[i] times slack,
+    exactly, by int cross-multiplication: exact ratios by their numerator
+    and denominator, float ones by as_integer_ratio, an infinite float
+    by its sign. No slack is a factor of 1."""
+    if slack is None:
+        return [r is None or r.numerator * d <= n * r.denominator
+                for r, n, d in zip(ratios, nums, dens)]
+    sn, sd = slack.numerator, slack.denominator
+    within = []
+    for r, n, d in zip(ratios, nums, dens):
+        if r is None:
+            within.append(True)
+        elif math.isfinite(r):
+            a, b = r.as_integer_ratio()
+            within.append(a * d * sd <= n * sn * b)
+        else:
+            within.append(r < 0)
+    return within
 
 
 # ---- Fuzzing ----
@@ -297,12 +345,12 @@ def _run_fuzz_trial(config, trial):
     bound = {}
     best = None
     witnesses = []
-    for p, traces, report, agrees, bounds, within in check_orders(field, orders):
+    for p, traces, report, agrees, largest, within in check_orders(field, orders):
         tally = (len(traces), report.violations, within.count(False),
                  agrees.count(False))
         counts = tuple(map(sum, zip(counts, tally)))
         max_ratio[p] = report.max_ratio
-        bound[p] = max(bounds)
+        bound[p] = largest
         if report.max_ratio is not None:
             index = traces.index[report.ratios.index(report.max_ratio)]
             key = (report.max_ratio, -trial, -p, -index)

@@ -4,10 +4,19 @@ The telescoped jump rewrites the one-sided trace difference at an interface
 as a short sum of high-order divided differences times geometric factors.
 It never evaluates the two polynomials, so it is an independent oracle for
 the direct traces: in the exact backend the two must agree to the bit.
+This module imports no eno_* module, so the oracle shares no code with the
+trace path.
 
 Bound constants are always computed in exact rationals, even when the trace
 data is binary64; comparing a measured jump ratio against a bound must not
 be polluted by round-off in the bound itself.
+
+The oracle and the jump bound read the same window products at a
+breakpoint. `_window_pass` builds them once per breakpoint, in O(p) on int
+coordinates, and gives the bound there as an int pair and, on a table over
+grid_integers, whether the telescoped jump equals the trace jump, compared
+by int cross-multiplication; position_bounds and harness.check_orders both
+run on it.
 """
 
 import operator
@@ -237,6 +246,97 @@ def _window_products(X, x, skip, w, starts):
     return products
 
 
+def _breakpoint_products(X, left, p, shift):
+    """_window_products of the p windows of width p+shift that start at
+    left-p+1..left, at the breakpoint between anchors left and left+1, in
+    O(p) on int coordinates whose node midpoints are ints.
+
+    The interior factors (x - X[k]) of window a split at the breakpoint:
+    those left of it, k = a+1..left, are a suffix product that grows as a
+    moves left, and those right of it, k = left+1+shift..a+p+shift-1, a
+    prefix product that grows as a moves right. A window's product is its
+    width times the two.
+    """
+    x, _ = _breakpoint(X, left, shift)
+    first, w = left - p + 1, p + shift
+    products = [1] * p
+    for i in range(p - 2, -1, -1):
+        products[i] = products[i + 1] * (x - X[first + i + 1])
+    right = 1
+    for i in range(p):
+        a = first + i
+        products[i] *= (X[a + w] - X[a]) * right
+        right *= x - X[a + w]
+    return products
+
+
+def _window_pass(X, rows, p, shift, positions, level=None, traces=None):
+    """Order-p jump bounds at `positions`, and with `level` the oracle's
+    agreements, from one _breakpoint_products call per position.
+
+    X holds int coordinates whose node midpoints are ints and rows is
+    _stage_rows(X, pmax, shift) for some pmax >= p. The bound at a
+    position is returned as the int pair (num, den) whose ratio
+    position_bounds gives there: 2**(p-1) times the sum of the absolute
+    window products over their stage rows, put over one denominator,
+    then over the position's divisor, with no rational made.
+
+    With `level`, the level-(p+shift) entries of a table over X, and
+    `traces`, an exact TraceBatch whose indices are `positions`, the pass
+    also says at each breakpoint whether the telescoped jump, the sum of
+    num(D_a) * P_a / den(D_a) over the oracle's windows (see
+    _telescoped_terms), equals traces.jumps there, cross-multiplied with
+    the jump's numerator and denominator. Order-p signatures keep those
+    windows among the bound's p; others raise ValueError.
+
+    Returns (nums, dens, agrees), agrees None without `level`.
+    """
+    row = rows[p]
+    power = p - 1
+    nums = []
+    dens = []
+    agrees = None
+    if level is None:
+        oracle = [None] * len(positions)
+    else:
+        agrees = []
+        level_nums = [entry.numerator for entry in level]
+        level_dens = [entry.denominator for entry in level]
+        oracle = zip(traces.left_signatures, traces.right_signatures,
+                     traces.jumps)
+    for pos, signatures in zip(positions, oracle):
+        left = pos - shift
+        first = left - p + 1
+        products = _breakpoint_products(X, left, p, shift)
+        num, den = 0, 1
+        for f, d in zip(products, row[first + shift:pos + 1]):
+            num, den = num * d + abs(f) * den, den * d
+        nums.append(num << power)
+        dens.append(den * (X[pos + 1] - X[left]))
+        if signatures is None:
+            continue
+        left_signature, right_signature, jump = signatures
+        lo = left + getattr(left_signature, "offsets", left_signature)[-1]
+        hi = left + getattr(right_signature, "offsets", right_signature)[-1]
+        sign = 1
+        if lo > hi + 1:
+            lo, hi, sign = hi + 1, lo - 1, -1
+        num, den = 0, 1
+        if lo <= hi:
+            if lo < first or hi > left:
+                raise ValueError(
+                    f"signatures at position {pos} reach window starts "
+                    f"{lo}..{hi}, outside order {p}'s {first}..{left}")
+            for n, d, f in zip(level_nums[lo:hi + 1], level_dens[lo:hi + 1],
+                               products[lo - first:hi - first + 1]):
+                if d == den:
+                    num += n * f
+                else:
+                    num, den = num * d + n * f * den, den * d
+        agrees.append(sign * num * jump.denominator == jump.numerator * den)
+    return nums, dens, agrees
+
+
 def _telescoped_terms(source, table, left_signatures, right_signatures,
                       indices, p, shift):
     """Summands of the telescoped jump at each breakpoint `indices` (as in
@@ -394,7 +494,8 @@ def _recursive_constants(X, anchor, p, shift):
 
 def _stage_rows(X, pmax, shift):
     """Stage constants of every window on integer coordinates, up to stage
-    `pmax`, as integer denominators.
+    `pmax` or the largest order whose window fits X, whichever is lower,
+    as integer denominators.
 
     The entries of `_recursive_constants` depend only on the absolute
     start s = anchor + k and the stage j, so one table serves every
@@ -403,10 +504,11 @@ def _stage_rows(X, pmax, shift):
     rows[j+1][s] = (X[s+j+1] - X[s-shift]) * min(rows[j][s], rows[j][s+1])
     for shift = CELL or NODE, which is the recursion 2 / den * max(...) of
     `_recursive_constants` with no rational made. Entries whose window
-    leaves the coordinates are None.
+    leaves the coordinates are None. An order p fits when its 2p + shift
+    points do, so stages above (len(X) - shift) // 2 serve no position.
     """
     rows = [None, [1] * len(X)]
-    for j in range(1, pmax):
+    for j in range(1, min(pmax, (len(X) - shift) // 2)):
         prev = rows[j]
         row = [None] * len(X)
         for s in range(shift, len(X) - j - 1):
@@ -475,17 +577,24 @@ def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
     return BoundTable(kind, p, position, constants, total / divisor)
 
 
+def _bound_integers(points, shift):
+    """Exact or float points as the ints position_bounds computes on: the
+    exact points times (2 - shift) times the least common multiple of
+    their denominators, whose node midpoints are ints too."""
+    X = [x if hasattr(x, "denominator") else EXACT.convert(x) for x in points]
+    scale = (2 - shift) * lcm(*(int(x.denominator) for x in X))
+    return [int(x.numerator) * (scale // int(x.denominator)) for x in X]
+
+
 def position_bounds(mesh, orders, kind="reconstruction"):
     """Aggregated jump bound at every admissible position, for each order.
 
-    One stage-constant table, built up to the largest order, serves every
-    position and every order. The bounds are invariant under scaling the
-    coordinates, so they are computed on the exact coordinates times
-    (2 - shift) times the least common multiple of their denominators
-    (shift = CELL for reconstruction, NODE for interpolation): integers
-    whose node midpoints are integers too, which keep the geometric
-    factors and the stage constants' denominators in integers. Each bound
-    is summed over a common denominator and made one rational.
+    One stage-constant table, built up to the largest order that fits,
+    serves every position and every order. The bounds are invariant under
+    scaling the coordinates, so they are computed on _bound_integers:
+    integers whose node midpoints are integers too, which keep the
+    geometric factors and the stage constants' denominators in integers.
+    Each bound is the int pair of _window_pass, made one rational.
 
     Args:
         mesh: Mesh, point-value field, or plain coordinate sequence.
@@ -502,24 +611,15 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     shift = _kind_shift(kind)
     if not orders:
         return {}
-    X = [x if hasattr(x, "denominator") else EXACT.convert(x)
-         for x in _coordinates(mesh)]
-    scale = (2 - shift) * lcm(*(int(x.denominator) for x in X))
-    X = [int(x.numerator) * (scale // int(x.denominator)) for x in X]
+    X = _bound_integers(_coordinates(mesh), shift)
     rows = _stage_rows(X, max(orders), shift)
     bounds = {}
     for p in orders:
-        row = rows[p]
-        power = 2 ** (p - 1)
-        bounds[p] = at_p = {}
-        for pos in range(p - 1 + shift, len(X) - p):
-            factors, divisor = _bound_factors(X, pos, p, shift)
-            # sum of f / d over the offsets, as num / den with den the
-            # product of the d, reduced once by quotient
-            num, den = 0, 1
-            for f, d in zip(factors, row[pos - p + 1:pos + 1]):
-                num, den = num * d + f * den, den * d
-            at_p[pos] = quotient(power * num, den * divisor)
+        positions = range(p - 1 + shift, len(X) - p)
+        bounds[p] = {}
+        if positions:
+            nums, dens, _ = _window_pass(X, rows, p, shift, positions)
+            bounds[p] = dict(zip(positions, map(quotient, nums, dens)))
     return bounds
 
 
@@ -530,7 +630,9 @@ def max_bounds(mesh, orders, kind="reconstruction"):
 
     Raises:
         StencilOutOfRange: the first order in `orders` whose window fits
-            nowhere on the mesh, found before any bound is computed.
+            nowhere on the mesh, found before any bound is computed, so
+            that a long range of orders (`enokit bounds --order 10**9`) is
+            never read past its first such order.
     """
     shift = _kind_shift(kind)
     count = len(_coordinates(mesh))

@@ -249,13 +249,13 @@ def _shrink_bounds(monkeypatch):
     """Make check_orders judge every jump against its bound / 1000."""
     import enokit.harness as harness_mod
 
-    real = harness_mod.position_bounds
+    real = harness_mod._window_pass
 
     def shrunk(*args, **kwargs):
-        return {p: {i: bound / 1000 for i, bound in at_p.items()}
-                for p, at_p in real(*args, **kwargs).items()}
+        nums, dens, agrees = real(*args, **kwargs)
+        return nums, [den * 1000 for den in dens], agrees
 
-    monkeypatch.setattr(harness_mod, "position_bounds", shrunk)
+    monkeypatch.setattr(harness_mod, "_window_pass", shrunk)
 
 
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])

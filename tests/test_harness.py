@@ -276,15 +276,42 @@ def test_exact_checks_run_on_the_backend_type(kind):
         for table in tables:
             for level in table.levels[shift:]:
                 assert {type(v) for v in level} == {own}
-        for p, traces, report, agrees, bounds, within in check_orders(
+        for p, traces, report, agrees, bound, within in check_orders(
                 field, (1, 2, 3, 4, 5, 6)):
             assert len(traces) and all(agrees) and all(within)
-            for column in (traces.left, traces.right, traces.jumps, bounds):
+            for column in (traces.left, traces.right, traces.jumps):
                 assert {type(v) for v in column} == {own}, (p, column)
+            assert type(bound) is own
             ratio_types = {type(r) for r in report.ratios if r is not None}
             assert ratio_types <= {own}
             ratios += bool(ratio_types)
     assert ratios >= 20
+
+
+@pytest.mark.parametrize("bound", [
+    Fraction(1), Fraction(7, 3), Fraction(12345678901, 98765),
+    Fraction(3, 2 ** 70), Fraction(2 ** 80 + 1, 3)])
+def test_within_judges_ratios_as_the_rational_comparison(bound):
+    """_within's int cross-multiplication gives the flags of comparing
+    each ratio with the bound, times the float slack 1 + ORACLE_FLOAT_TOL
+    for float ratios: at float(bound * slack) and one float either side
+    of it, infinities and None too; and, with no slack, for exact ratios
+    at the bound and one 2**-100 either side."""
+    from enokit.harness import ORACLE_FLOAT_TOL, _within
+
+    slack = 1 + EXACT.convert(ORACLE_FLOAT_TOL)
+    # The pair _window_pass gives need not be in lowest terms.
+    num, den = bound.numerator * 6, bound.denominator * 6
+    limit = bound * slack
+    f = float(limit)
+    ratios = [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf),
+              -f, 0.0, math.inf, -math.inf, None]
+    got = _within(ratios, [num] * len(ratios), [den] * len(ratios), slack)
+    assert got == [r is None or r <= limit for r in ratios]
+    assert got[:3] == [True, f <= limit, False]
+    tiny = Fraction(1, 2 ** 100)
+    exact = [EXACT.convert(bound + k * tiny) for k in (-1, 0, 1)] + [None]
+    assert _within(exact, [num] * 4, [den] * 4) == [True, True, False, True]
 
 
 def test_convergence_rates_on_smooth_data():
@@ -334,12 +361,16 @@ def test_lagrange_oracle_matches_newton_form():
 def _plant_failures(monkeypatch):
     """Plant all three failure reasons into check_orders: a consistent
     SignReport with every 5th verdict turned VIOLATION, every bound / 1000,
-    and every 7th telescoped jump off by 1."""
+    and every 7th telescoped jump off by 1. The window pass judges the
+    oracle of exact batches on grid tables, so there the jump it compares
+    with is off by 1 instead; telescoped_jumps gives the others'."""
+    from dataclasses import replace
+
     import enokit.harness as harness_mod
     from enokit import SignReport
 
     real_report = harness_mod.sign_report
-    real_bounds = harness_mod.position_bounds
+    real_pass = harness_mod._window_pass
     real_jumps = harness_mod.telescoped_jumps
 
     def report(traces):
@@ -349,16 +380,21 @@ def _plant_failures(monkeypatch):
         return SignReport(verdicts, honest.ratios,
                           verdicts.count("VIOLATION"), honest.max_ratio)
 
-    def bounds(*args, **kwargs):
-        return {p: {i: bound / 1000 for i, bound in at_p.items()}
-                for p, at_p in real_bounds(*args, **kwargs).items()}
+    def window_pass(X, rows, p, shift, positions, level=None, traces=None):
+        if traces is not None:
+            traces = replace(traces, right=[
+                right - 1 if i % 7 == 0 else right
+                for i, right in enumerate(traces.right)])
+        nums, dens, agrees = real_pass(X, rows, p, shift, positions, level,
+                                       traces)
+        return nums, [den * 1000 for den in dens], agrees
 
     def jumps(*args, **kwargs):
         return [jump + 1 if i % 7 == 0 else jump
                 for i, jump in enumerate(real_jumps(*args, **kwargs))]
 
     monkeypatch.setattr(harness_mod, "sign_report", report)
-    monkeypatch.setattr(harness_mod, "position_bounds", bounds)
+    monkeypatch.setattr(harness_mod, "_window_pass", window_pass)
     monkeypatch.setattr(harness_mod, "telescoped_jumps", jumps)
 
 

@@ -282,12 +282,12 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     # judges the columnar one.
     monkeypatch.setattr(harness, "midpoint_traces",
                         lambda *args, **kwargs: trace_columns(list(batch)))
-    [(order, traces, report, agrees, bounds, within)] = check_orders(
+    [(order, traces, report, agrees, bound, within)] = check_orders(
         field, (p,))
-    [(_, want_traces, want_report, want_agrees, want_bounds,
+    [(_, want_traces, want_report, want_agrees, want_bound,
       want_within)] = checked
-    assert (order, list(traces), report, agrees, bounds, within) \
-        == (p, list(want_traces), want_report, want_agrees, want_bounds,
+    assert (order, list(traces), report, agrees, bound, within) \
+        == (p, list(want_traces), want_report, want_agrees, want_bound,
             want_within)
 
 

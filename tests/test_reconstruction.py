@@ -404,12 +404,12 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     # judges the columnar one.
     monkeypatch.setattr(harness, "interface_traces",
                         lambda *args, **kwargs: trace_columns(list(batch)))
-    [(order, traces, report, agrees, bounds, within)] = check_orders(
+    [(order, traces, report, agrees, bound, within)] = check_orders(
         field, (p,))
-    [(_, want_traces, want_report, want_agrees, want_bounds,
+    [(_, want_traces, want_report, want_agrees, want_bound,
       want_within)] = checked
-    assert (order, list(traces), report, agrees, bounds, within) \
-        == (p, list(want_traces), want_report, want_agrees, want_bounds,
+    assert (order, list(traces), report, agrees, bound, within) \
+        == (p, list(want_traces), want_report, want_agrees, want_bound,
             want_within)
 
 
@@ -476,12 +476,12 @@ def test_orders_sharing_a_table_match_fresh_calls(kind, scalar):
     orders = (4, 1, 6, 1, 3)
     checked = list(check_orders(field, orders))
     assert [p for p, *_ in checked] == list(orders)
-    for p, traces, report, agrees, bounds, within in checked:
-        [(_, want, want_report, want_agrees, want_bounds,
+    for p, traces, report, agrees, bound, within in checked:
+        [(_, want, want_report, want_agrees, want_bound,
           want_within)] = check_orders(field, (p,))
         assert [repr(t) for t in traces] == [repr(t) for t in want] == fresh[p]
         assert report == want_report == sign_report(traces_of(field, p))
-        assert (agrees, bounds, within) == (want_agrees, want_bounds,
+        assert (agrees, bound, within) == (want_agrees, want_bound,
                                             want_within)
         assert all(agrees) and all(within)
 
@@ -607,11 +607,12 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     """Traces and checks on a table of their own, over grid_integers on a
     grid mesh, equal those on a caller-given level_table in the field's
     coordinates: the repr of every trace, the values and types of the
-    locations, the sign reports, the oracle agreements and the bounds,
-    which position_bounds gives on the field's coordinates too."""
+    locations, the sign reports, the oracle agreements and the bounds at
+    every breakpoint of the check loop's window pass, which position_bounds
+    gives on the field's coordinates too."""
     from enokit import PointValueField, harness, midpoint_traces
     from enokit import eno_reconstruction
-    from enokit.numerics import level_table, trace_table
+    from enokit.numerics import level_table, quotient, trace_table
     from enokit.stability import (
         position_bounds,
         telescoped_jump_interpolation,
@@ -619,13 +620,22 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     )
 
     built = []
+    passed = {}
 
     def recording(*args, **kwargs):
         built.append(trace_table(*args, **kwargs))
         return built[-1]
 
+    real_pass = harness._window_pass
+
+    def spying(X, rows, p, shift, positions, *oracle):
+        nums, dens, agrees = real_pass(X, rows, p, shift, positions, *oracle)
+        passed[p] = dict(zip(positions, map(quotient, nums, dens)))
+        return nums, dens, agrees
+
     monkeypatch.setattr(eno_reconstruction, "trace_table", recording)
     monkeypatch.setattr(harness, "trace_table", recording)
+    monkeypatch.setattr(harness, "_window_pass", spying)
     xs = _grid_meshes(26)[mesh]
     rng = random.Random(f"{kind}:{mesh}")
     count = 26 if kind == "reconstruction" else 27
@@ -649,8 +659,10 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     checked = list(harness.check_orders(field, (4, 1, 6, 1, 3)))
     assert [p for p, *_ in checked] == [4, 1, 6, 1, 3]
     on_coords = position_bounds(xs, range(1, 7), kind)
-    for p, traces, report, agrees, bounds, within in checked:
-        assert bounds == [on_coords[p][i] for i in traces.index]
+    assert sorted(passed) == [1, 3, 4, 6]
+    for p, traces, report, agrees, bound, within in checked:
+        assert passed[p] == {i: on_coords[p][i] for i in traces.index}
+        assert bound == max(passed[p].values())
         assert [repr(t) for t in traces] == [repr(t) for t in want[p]]
         assert report == sign_report(want[p])
         assert agrees == [

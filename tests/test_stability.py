@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -441,6 +442,143 @@ def test_columnar_oracle_equals_the_per_breakpoint_oracle(kind, scalar):
 
 def _offsets_of(signature):
     return tuple(getattr(signature, "offsets", signature))
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_breakpoint_products_equal_the_window_products(shift):
+    """The O(p) products at a breakpoint equal _window_products, window by
+    window, at every position of random int meshes, p = 1..8; node
+    meshes are even ints, so their midpoints are ints."""
+    from enokit.stability import (
+        _breakpoint,
+        _breakpoint_products,
+        _window_products,
+    )
+
+    rng = random.Random(31 + shift)
+    checked = 0
+    for _ in range(4):
+        X = [0]
+        for _ in range(24):
+            X.append(X[-1] + (2 - shift) * rng.randint(1, 40))
+        for p in range(1, 9):
+            for pos in range(p - 1 + shift, len(X) - p):
+                left = pos - shift
+                x, skip = _breakpoint(X, left, shift)
+                assert _breakpoint_products(X, left, p, shift) == \
+                    _window_products(X, x, skip, p + shift,
+                                     range(left - p + 1, left + 1))
+                checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_window_pass_equals_the_oracle_and_position_bounds(kind):
+    """On tables over grid_integers the window pass's agreements are
+    telescoped_jumps(...) == jumps, for the traces' signatures and for
+    crafted ones: plain tuples of the order, which reach the reversed
+    (lo > hi + 1) and the empty sum. Its bound pairs, made rationals, are
+    position_bounds' at every breakpoint, on the table's ints and on
+    position_bounds' own ints. Signatures of the next order, whose
+    windows the bound does not read, raise ValueError."""
+    from dataclasses import replace
+
+    from enokit.numerics import CELL, NODE, quotient, trace_table
+    from enokit.stability import (
+        _bound_integers,
+        _stage_rows,
+        _window_pass,
+        telescoped_jumps,
+    )
+
+    rng = random.Random(41)
+    n = 30
+    if kind == "reconstruction":
+        shift, count, traces_of = CELL, n, interface_traces
+    else:
+        shift, count, traces_of = NODE, n + 1, midpoint_traces
+    seen = set()
+    for xs in (_oracle_meshes(rng, n)[1],
+               [Fraction(rng.randint(1, 9), 10) + k for k in range(n + 1)]):
+        data = random_int_values(rng, count)
+        field = (CellAverageField(Mesh(xs), data) if shift
+                 else PointValueField(xs, data))
+        table = trace_table(xs, data, 7 + shift, shift)
+        X = table.points
+        assert {type(x) for x in X} == {int}
+        rows = _stage_rows(X, 6, shift)
+        scaled = _bound_integers(xs, shift)
+        scaled_rows = _stage_rows(scaled, 6, shift)
+        on_coords = position_bounds(xs, range(1, 7), kind)
+        for p in range(1, 7):
+            batch = traces_of(field, p, table=table)
+            tuples = _all_offset_tuples(p)
+            signatures = [(rng.choice(tuples), rng.choice(tuples))
+                          for _ in batch.index]
+            crafted = replace(batch,
+                              left_signatures=[s[0] for s in signatures],
+                              right_signatures=[s[1] for s in signatures])
+            telescoped = telescoped_jumps(table, crafted, p, shift)
+            # The crafted signatures with jumps equal to their telescoped
+            # sums, so that every agreement is True.
+            matched = replace(crafted, right=list(map(
+                operator.add, crafted.left, telescoped)))
+            for traces in (batch, crafted, matched):
+                nums, dens, agrees = _window_pass(
+                    X, rows, p, shift, traces.index, table.levels[p + shift],
+                    traces)
+                want = [tele == jump for tele, jump in zip(
+                    telescoped_jumps(table, traces, p, shift), traces.jumps)]
+                assert agrees == want
+                assert all(want) or traces is crafted
+                seen.update(want)
+                assert list(map(quotient, nums, dens)) == \
+                    [on_coords[p][i] for i in traces.index]
+            for left, right in signatures:
+                offset = left[-1] - right[-1]
+                seen.add("reversed" if offset > 1 else
+                         "empty" if offset == 1 else "summed")
+            nums, dens, agrees = _window_pass(scaled, scaled_rows, p, shift,
+                                              batch.index)
+            assert agrees is None
+            assert list(map(quotient, nums, dens)) == \
+                [on_coords[p][i] for i in batch.index]
+            wider = tuple(range(0, -p - 1, -1))
+            further = replace(batch, left_signatures=[wider] * len(batch))
+            with pytest.raises(ValueError, match="outside"):
+                _window_pass(X, rows, p, shift, further.index,
+                             table.levels[p + shift], further)
+    assert seen == {True, False, "reversed", "empty", "summed"}
+
+
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_position_bounds_build_no_stage_an_order_cannot_use(kind,
+                                                            monkeypatch):
+    """An order that fits nowhere builds no stage row above the largest
+    order that fits, and max_bounds names the first such order before it
+    reads a long range of orders any further."""
+    built = []
+    real = enokit.stability._stage_rows
+
+    def spying(X, pmax, shift):
+        built.append(real(X, pmax, shift))
+        return built[-1]
+
+    monkeypatch.setattr(enokit.stability, "_stage_rows", spying)
+    xs = [0, 1, 2, 3, 4, 5]
+    largest = (len(xs) - (kind == "reconstruction")) // 2
+    assert position_bounds(xs, (100_000,), kind) == {100_000: {}}
+    bounds = position_bounds(xs, (largest, 100_000), kind)
+    assert bounds[largest] and bounds[100_000] == {}
+    assert [len(rows) - 1 for rows in built] == [largest, largest]
+    with pytest.raises(StencilOutOfRange,
+                       match=f"no order-100000 {kind} window fits on 6 "
+                             f"coordinates"):
+        enokit.stability.max_bounds(xs, (largest, 100_000, largest + 1),
+                                    kind)
+    with pytest.raises(StencilOutOfRange,
+                       match=f"no order-{largest + 1} {kind} window"):
+        enokit.stability.max_bounds(xs, range(1, 10 ** 9), kind)
 
 
 def test_uniform_closed_forms():
