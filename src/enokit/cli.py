@@ -17,7 +17,6 @@ a row-by-row read would meet. Trace rows are serialized column by column.
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -81,10 +80,13 @@ def _text_columns(path, header):
     if tuple(cell.strip() for cell in rows[0]) != header:
         raise _CsvError(
             1, f"expected header {','.join(header)}; got {','.join(rows[0])}")
+    data = rows[1:]
+    if data and set(map(len, data)) == {len(header)}:
+        return range(2, len(rows) + 1), list(zip(*data)), None
     lines = []
     kept = []
     fault = None
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in enumerate(data, start=2):
         if len(row) != len(header):
             if not row:
                 continue
@@ -195,11 +197,12 @@ def _read_points(path, backend):
 
 
 def _write_rows(path, header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buffer.getvalue())
+    """Write the header and rows as CSV lines of each field's str(); a
+    field that needs quoting, as a signature label may, comes quoted."""
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    lines.append("")
+    _write_text(path, "\n".join(lines))
 
 
 def _write_text(path, text):
@@ -215,13 +218,14 @@ def _write_text(path, text):
 
 def _trace_rows(traces, backend):
     """The rows of a TraceBatch, serialized column by column; each distinct
-    signature object is labelled once."""
+    signature object is labelled once, quoted if it holds a comma."""
     serialize = backend.serialize
     labels = {}
     for signatures in (traces.left_signatures, traces.right_signatures):
         labels.update(zip(map(id, signatures), signatures))
     for key, signature in labels.items():
-        labels[key] = str(signature)
+        label = str(signature)
+        labels[key] = f'"{label}"' if "," in label else label
     ratios = ["CONT" if d == 0 else serialize(quotient(jump, d))
               for jump, d in zip(traces.jumps, traces.data_jump)]
     return zip(

@@ -84,7 +84,8 @@ def midpoint_traces(field, p, table=None):
         TraceBatch over the midpoints right of nodes p-1..len-p-1, in
         index order: columns of the left node indices, midpoints, left
         and right traces, value jumps and both signatures. An
-        InterfaceTrace is built only when an element is read.
+        InterfaceTrace is built only when an element is read, and the
+        signatures when either of their columns first is.
 
     Raises:
         StencilOutOfRange: fewer than 2p nodes.

@@ -124,6 +124,39 @@ def _signatures(lefts):
     return list(map(interned.__getitem__, keys))
 
 
+class _SignatureColumn:
+    """A signature column of a TraceBatch from _traces, derived on first
+    read. The batch's two columns share `shared`: [its order's stage
+    lefts] until either is read, then the plain lists of the left (k = 0)
+    and right (k = 1) anchors' signatures from one _signatures call, so
+    right[i] is left[i + 1]. Iteration runs over that list."""
+
+    __slots__ = ("_shared", "_k")
+
+    def __init__(self, shared, k):
+        self._shared = shared
+        self._k = k
+
+    def _column(self):
+        shared = self._shared
+        if len(shared) == 1:
+            signatures = _signatures(shared.pop())
+            shared += signatures[:-1], signatures[1:]
+        return shared[self._k]
+
+    def __len__(self):
+        return len(self._column())
+
+    def __getitem__(self, i):
+        return self._column()[i]
+
+    def __iter__(self):
+        return iter(self._column())
+
+    def __eq__(self, other):
+        return self._column() == other
+
+
 def _shifted(column, k):
     """column from entry k on: the entries of the breakpoints' left
     anchors (k = 0) or right anchors (k = 1)."""
@@ -161,8 +194,9 @@ class _Stages:
     stencils (None at stage 1). A higher order needs no anchor outside
     that range, so growing a stage drops one anchor at each end of every
     column; earlier stages' sums are not kept. Each stage builds new sums
-    lists, so the columns a TraceBatch took from an earlier stage never
-    change. Nothing here refers back to the table.
+    lists, and a grow call trims copies of the lefts columns, so the
+    columns a TraceBatch took from an earlier order never change. Nothing
+    here refers back to the table.
     """
 
     def __init__(self, table, coords, shift):
@@ -194,6 +228,8 @@ class _Stages:
         point and divided difference, then replace their lists in turn.
         """
         X = table.points
+        if len(self.lefts) < p:  # a batch of an earlier order may hold these
+            self.lefts = [column[:] for column in self.lefts]
         lefts = self.lefts
         sums = self.sums
         prods = self.prods
@@ -249,7 +285,8 @@ def _stages(table, coords, p, shift):
 def _traces(coords, data, p, table, shift):
     """Order-p TraceBatch of data of level `shift` over coords: the body
     of interface_traces (CELL) and midpoint_traces (NODE). Float traces
-    or data jumps that overflow to NaN or +-inf raise NonFiniteValue."""
+    or data jumps that overflow to NaN or +-inf raise NonFiniteValue.
+    The signatures are derived when a caller first reads one."""
     if p < 1:
         raise ValueError("order must be >= 1")
     n = len(data)
@@ -264,7 +301,7 @@ def _traces(coords, data, p, table, shift):
         raise ShapeError(
             f"a table over {len(table.points)} points for data over {len(X)}")
     state = _stages(table, X, p, shift)
-    signatures = _signatures(state.lefts)
+    shared = [state.lefts]
     left, right = state.sums
     data_jump = [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])]
     if approximate:
@@ -277,8 +314,8 @@ def _traces(coords, data, p, table, shift):
         left,
         right,
         data_jump,
-        signatures[:-1],
-        signatures[1:],
+        _SignatureColumn(shared, 0),
+        _SignatureColumn(shared, 1),
         approximate,
     )
 
@@ -466,7 +503,8 @@ def interface_traces(field, p, table=None):
         TraceBatch over interfaces p..ncells-p, in index order: columns of
         the interface indices, locations, left and right traces, data
         jumps and both signatures. An InterfaceTrace is built only when an
-        element is read.
+        element is read, and the signatures when either of their columns
+        first is.
 
     Raises:
         StencilOutOfRange: fewer than 2p cells.

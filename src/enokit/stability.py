@@ -77,7 +77,9 @@ class TraceBatch:
     build InterfaceTrace objects only for the elements asked for.
     `approximate` is True for binary64 data and False for exact data; it
     picks the verdict rule of sign_report. `jumps`, the column
-    right - left, is built once, on first read.
+    right - left, is built once, on first read. The signature columns
+    of interface_traces and midpoint_traces are derived together when
+    either is first read, so sign_report builds no signature.
     """
 
     index: object
@@ -580,7 +582,15 @@ def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
 def _bound_integers(points, shift):
     """Exact or float points as the ints position_bounds computes on: the
     exact points times (2 - shift) times the least common multiple of
-    their denominators, whose node midpoints are ints too."""
+    their denominators, whose node midpoints are ints too. Floats need
+    no rational: their denominators are powers of two."""
+    try:
+        pairs = list(map(float.as_integer_ratio, points))
+    except TypeError:
+        pass
+    else:
+        scale = (2 - shift) * max((d for _, d in pairs), default=1)
+        return [n * (scale // d) for n, d in pairs]
     X = [x if hasattr(x, "denominator") else EXACT.convert(x) for x in points]
     scale = (2 - shift) * lcm(*(int(x.denominator) for x in X))
     return [int(x.numerator) * (scale // int(x.denominator)) for x in X]

@@ -292,8 +292,9 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
 
 
 def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
-    """sign_report(midpoint_traces(...)) builds no InterfaceTrace and at
-    most one signature per distinct offset tuple."""
+    """sign_report(midpoint_traces(...)) builds no InterfaceTrace and no
+    signature; reading one signature column builds both columns, at most
+    one signature per distinct offset tuple."""
     built = Counter()
     for cls in (InterfaceTrace, StencilSignature):
         init = cls.__init__
@@ -308,9 +309,17 @@ def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
     for _ in range(512):
         xs.append(xs[-1] + rng.uniform(0.5, 2.0))
     field = PointValueField(xs, [float(rng.randint(-99, 99)) for _ in range(513)])
-    sign_report(midpoint_traces(field, 6))
+    traces = midpoint_traces(field, 6)
+    sign_report(traces)
     assert built["InterfaceTrace"] == 0
+    assert built["StencilSignature"] == 0
+    left = list(traces.left_signatures)
     assert 0 < built["StencilSignature"] <= 32
+    both = built["StencilSignature"]
+    right = list(traces.right_signatures)
+    assert built["StencilSignature"] == both
+    assert all(r is l for r, l in zip(right, left[1:]))
+    assert built["InterfaceTrace"] == 0
 
 
 def test_a_shallow_table_is_a_value_error():

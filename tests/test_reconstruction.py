@@ -414,8 +414,9 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
 
 
 def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
-    """sign_report(interface_traces(...)) builds no InterfaceTrace and at
-    most one signature per distinct offset tuple."""
+    """sign_report(interface_traces(...)) builds no InterfaceTrace and no
+    signature; reading one signature column builds both columns, at most
+    one signature per distinct offset tuple."""
     built = Counter()
     for cls in (InterfaceTrace, StencilSignature):
         init = cls.__init__
@@ -431,9 +432,17 @@ def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
         xs.append(xs[-1] + rng.uniform(0.5, 2.0))
     field = CellAverageField(Mesh(xs), [float(rng.randint(-99, 99))
                                         for _ in range(512)])
-    sign_report(interface_traces(field, 6))
+    traces = interface_traces(field, 6)
+    sign_report(traces)
     assert built["InterfaceTrace"] == 0
+    assert built["StencilSignature"] == 0
+    left = list(traces.left_signatures)
     assert 0 < built["StencilSignature"] <= 32
+    both = built["StencilSignature"]
+    right = list(traces.right_signatures)
+    assert built["StencilSignature"] == both
+    assert all(r is l for r, l in zip(right, left[1:]))
+    assert built["InterfaceTrace"] == 0
 
 
 def _shared_table_field(kind, scalar):
@@ -514,6 +523,47 @@ def test_batch_signatures_follow_the_stage_columns(kind, scalar):
             assert shared.setdefault(signature.offsets, signature) is signature
         if p > 2:
             assert len(shared) > 1
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+@pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
+def test_batch_signatures_outlive_later_orders_on_their_table(kind, scalar):
+    """A batch derives its signatures when they are first read, from its
+    own order's stage columns: read after its table has grown to a higher
+    order or restarted for a lower one, they are the per-anchor
+    selections, and the two columns share their objects. check_orders'
+    batches are read after the loop, and batches resumed on one table at
+    orders 2, 4, 6, 2, 4 after the last of them."""
+    from enokit import midpoint_traces, select_signature_pointwise
+    from enokit.harness import check_orders
+    from enokit.numerics import level_table
+
+    field, xs, values, level = _shared_table_field(kind, scalar)
+    if kind == "reconstruction":
+        traces_of = interface_traces
+        primitive = primitive_from_averages(field)
+
+        def select(anchor, p):
+            return select_signature(primitive, anchor, p)
+    else:
+        traces_of = midpoint_traces
+
+        def select(anchor, p):
+            return select_signature_pointwise(field, anchor, p)
+    batches = [(p, traces) for p, traces, *_ in check_orders(field, (6, 2, 4))]
+    table = level_table(xs, values, 6 + level, level)
+    batches += [(p, traces_of(field, p, table=table))
+                for p in (2, 4, 6, 2, 4)]
+    for p, batch in batches:
+        anchors = [i - level for i in batch.index]
+        left = list(batch.left_signatures)
+        right = list(batch.right_signatures)
+        assert left == [select(anchor, p) for anchor in anchors]
+        assert right == [select(anchor + 1, p) for anchor in anchors]
+        assert all(r is l for r, l in zip(right, left[1:]))
+        assert batch.right_signatures[-1] is right[-1]
+        assert batch.left_signatures == left
+        assert len(batch.right_signatures) == len(batch)
 
 
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])

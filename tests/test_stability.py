@@ -551,6 +551,28 @@ def test_window_pass_equals_the_oracle_and_position_bounds(kind):
     assert seen == {True, False, "reversed", "empty", "summed"}
 
 
+@pytest.mark.parametrize("shift", [0, 1])
+def test_float_bound_integers_are_the_rational_paths(shift):
+    """Float points, read by as_integer_ratio, scale to the ints that
+    their exact values give on the rational path: negative, subnormal
+    and huge floats among them. Points that are not all floats take the
+    rational path and give the same ints."""
+    from enokit.stability import _bound_integers
+
+    rng = random.Random(23)
+    floats = sorted({-1e300, -2.5, -5e-324, 0.0, 5e-324, 1e-310, 0.1, 1 / 3,
+                     7.0, 1e300, *(rng.uniform(-1e3, 1e3) for _ in range(40))})
+    want = _bound_integers([EXACT.convert(x) for x in floats], shift)
+    assert _bound_integers(floats, shift) == want
+    assert {type(n) for n in want} == {int}
+    assert _bound_integers(floats[:3], shift) == \
+        _bound_integers([EXACT.convert(x) for x in floats[:3]], shift)
+    assert _bound_integers([-2, 0.5, 3], shift) == \
+        [k * (2 - shift) for k in (-4, 1, 6)]
+    assert _bound_integers([], shift) == []
+    assert position_bounds([], (1,)) == {1: {}}
+
+
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
 def test_position_bounds_build_no_stage_an_order_cannot_use(kind,
                                                             monkeypatch):
