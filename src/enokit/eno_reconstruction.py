@@ -22,13 +22,14 @@ from .errors import ShapeError, StencilOutOfRange
 from .numerics import (
     CELL,
     NODE,
+    build_table,
     check_depth,
     check_finite_column,
     field_table,
     float_entry,
+    is_float_data,
     promote_integers,
     quotient,
-    trace_table,
 )
 from .stability import TraceBatch
 
@@ -284,9 +285,11 @@ def _stages(table, coords, p, shift):
 
 def _traces(coords, data, p, table, shift):
     """Order-p TraceBatch of data of level `shift` over coords: the body
-    of interface_traces (CELL) and midpoint_traces (NODE). Float traces
-    or data jumps that overflow to NaN or +-inf raise NonFiniteValue.
-    The signatures are derived when a caller first reads one."""
+    of interface_traces (CELL) and midpoint_traces (NODE). A float table
+    makes the batch approximate, its data jumps taken from the table's
+    level `shift`. Float traces or data jumps that overflow to NaN or
+    +-inf raise NonFiniteValue. The signatures are derived when a caller
+    first reads one."""
     if p < 1:
         raise ValueError("order must be >= 1")
     n = len(data)
@@ -294,13 +297,16 @@ def _traces(coords, data, p, table, shift):
         raise StencilOutOfRange(
             f"order {p} needs at least {2 * p} "
             f"{'cells' if shift == CELL else 'nodes'}; have {n}")
-    X, data, approximate = float_entry(coords, data)
     if table is None:
-        table = trace_table(X, data, p - 1 + shift, shift, approximate)
-    elif len(table.points) != len(X):
+        table = build_table(coords, data, p - 1 + shift, shift, grid=True)
+    elif len(table.points) != len(coords):
         raise ShapeError(
-            f"a table over {len(table.points)} points for data over {len(X)}")
-    state = _stages(table, X, p, shift)
+            f"a table over {len(table.points)} points for data over "
+            f"{len(coords)}")
+    level = table.levels[shift]
+    approximate = is_float_data(level[:1])
+    data = level if approximate else float_entry(coords, data)[1]
+    state = _stages(table, coords, p, shift)
     shared = [state.lefts]
     left, right = state.sums
     data_jump = [b - a for a, b in zip(data[p - 1:n - p], data[p:n - p + 1])]

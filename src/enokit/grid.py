@@ -3,8 +3,8 @@
 The primitive of a cell-average field is its cumulative integral sampled at
 the mesh interfaces; its first divided differences give back the averages.
 Every divided-difference table of cells starts from the averages at level
-1 (numerics.field_table and trace_table), so the trace and check code
-builds no primitive. The per-cell API (select_signature, reconstruct_cell,
+1 (numerics.build_table), so the trace and check code builds no
+primitive. The per-cell API (select_signature, reconstruct_cell,
 ...) takes one for its nodes and values, and builds its table from the
 averages it carries.
 """

@@ -22,13 +22,13 @@ from .numerics import (
     EXACT,
     FLOAT,
     NODE,
-    float_entry,
+    build_table,
     get_backend,
+    grid_integers,
+    is_float_data,
     quotient,
-    trace_table,
 )
 from .stability import (
-    _bound_integers,
     _stage_rows,
     _window_pass,
     relative_jump,
@@ -102,17 +102,17 @@ def check_orders(field, orders):
 
     A CellAverageField is reconstructed, a PointValueField interpolated;
     one divided-difference table serves every order, trace, oracle and
-    bound, over the coordinates' grid_integers when they have them.
-    The distinct orders are traced in ascending order, so each resumes the
-    stage-wise selection and evaluation the previous one left on the
-    table. Each order is one columnar pass, and the verdicts read the
-    batch's `jumps`. One stability._window_pass call per order builds the
-    window products at every breakpoint once and gives each breakpoint's
-    jump bound as an int pair. On a table over grid_integers it also
-    decides the oracle there, cross-multiplying the telescoped sum with the
-    jump; any other table, and an approximate batch, gets the oracle's
-    column from `telescoped_jumps`, with its bound pairs on the points'
-    exact values scaled to ints, as position_bounds takes them.
+    bound. An exact table is over the coordinates' grid_integers, on any
+    mesh; a float table over the float coordinates, whose exact values'
+    grid_integers the bounds are taken on. The distinct orders are traced
+    in ascending order, so each resumes the stage-wise selection and
+    evaluation the previous one left on the table. Each order is one
+    columnar pass, and the verdicts read the batch's `jumps`. One
+    stability._window_pass call per order builds the window products at
+    every breakpoint once and gives each breakpoint's jump bound as an int
+    pair. On an exact batch it also decides the oracle there,
+    cross-multiplying the telescoped sum with the jump; an approximate
+    batch gets the oracle's column from `telescoped_jumps`.
     Yields (p, traces, sign_report(traces), agrees, bound, within) in the
     order given; traces is a TraceBatch, and at its breakpoint i agrees[i]
     says whether the telescoped jump equals traces.jumps[i] and within[i]
@@ -132,30 +132,28 @@ def check_orders(field, orders):
     else:
         coords, data, shift = field.nodes, field.values, NODE
     traces_of = interface_traces if shift == CELL else midpoint_traces
-    coords, data, approximate = float_entry(coords, data)
-    table = trace_table(coords, data, min(max(orders) + shift, len(coords) - 1),
-                        shift, approximate)
-    on_grid = type(table.points[0]) is int
-    X = table.points if on_grid else _bound_integers(table.points, shift)
+    table = build_table(coords, data, min(max(orders) + shift, len(coords) - 1),
+                        shift, grid=True)
+    # An exact table is on grid_integers; a float one gives the bounds its
+    # points' exact grid_integers.
+    X = table.points
+    if is_float_data(X[:1]):
+        X = grid_integers(X)
     rows = _stage_rows(X, max(orders), shift)
     slack = 1 + EXACT.convert(ORACLE_FLOAT_TOL)
     checked = {}
     for p in sorted(set(orders)):
         traces = traces_of(field, p, table=table)
         report = sign_report(traces)
-        if on_grid and not traces.approximate:
+        if traces.approximate:
+            nums, dens, _ = _window_pass(X, rows, p, shift, traces.index)
+            telescoped = telescoped_jumps(table, traces, p, shift)
+            agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
+                      for tele, jump in zip(telescoped, traces.jumps)]
+        else:
             nums, dens, agrees = _window_pass(
                 X, rows, p, shift, traces.index, table.levels[p + shift],
                 traces)
-        else:
-            nums, dens, _ = _window_pass(X, rows, p, shift, traces.index)
-            telescoped = telescoped_jumps(table, traces, p, shift)
-            if traces.approximate:
-                agrees = [abs(tele - jump) <= ORACLE_FLOAT_TOL * max(1.0, abs(jump))
-                          for tele, jump in zip(telescoped, traces.jumps)]
-            else:
-                agrees = [tele == jump
-                          for tele, jump in zip(telescoped, traces.jumps)]
         within = _within(report.ratios, nums, dens,
                          slack if traces.approximate else None)
         checked[p] = p, traces, report, agrees, _largest(nums, dens), within
@@ -381,7 +379,8 @@ def fuzz_sign_property(config, workers=1):
 
     Args:
         config: FuzzConfig.
-        workers: process count; 1 runs in-process.
+        workers: process count, capped at config.trials; 1 runs
+            in-process.
 
     Raises:
         ValueError: workers below 1.
@@ -390,6 +389,8 @@ def fuzz_sign_property(config, workers=1):
         raise ValueError("workers must be >= 1")
     trial_ids = range(config.trials)
     runner = partial(_run_fuzz_trial, config)
+    # A process pool forks all of its workers on the first submit.
+    workers = min(workers, config.trials)
     if workers > 1:
         # Imported only here: loading the process pool is a large share of
         # importing enokit, and only a parallel run uses it.

@@ -9,7 +9,7 @@ leaves every other operand to Fraction.
 """
 
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
 from operator import sub, truediv
 
 from .errors import InvalidMesh, NonFiniteValue, ShapeError
@@ -401,29 +401,32 @@ def halfway(a, b):
 
 
 def grid_integers(points):
-    """Exact points as ints on the grid of their gaps, or None.
+    """Points as ints on the grid of their gaps: (x - points[0]) * 2D,
+    with D the least common multiple of the denominators of the gaps
+    between consecutive points.
 
-    When the denominator of every gap between consecutive points divides
-    the largest one, D, every point lies on one grid of step 1/D from the
-    first: fuzz ticks, decimals, ints and floats read exactly do. The
-    points then come back as ints, (x - points[0]) * 2D, so the midpoint
-    of two of them is an int too, (a + b) // 2. Divided differences,
-    stencil choices and trace values are the same rationals on a shifted
-    and rescaled mesh, once the divided differences are taken over the
-    new points. Other meshes, and floats, give None: one grid for gaps
-    with unrelated denominators would only make every product larger.
+    Exact points and floats, read exactly by as_integer_ratio, are put
+    over one lcm of their denominators; D is that lcm over the gcd of it
+    and every point's distance from the first. The midpoint of two of the
+    ints is an int too, (a + b) // 2. Divided differences, stencil
+    choices and trace values are the same rationals on a shifted and
+    rescaled mesh, once the divided differences are taken over the new
+    points, and jump bounds do not change with the mesh's scale. Fuzz
+    ticks, decimals and ints give small ints; gaps with unrelated
+    denominators, such as thirds and sevenths, multiply D.
     """
-    if is_float_data(points):
-        return None
-    gaps = [b - a for a, b in zip(points, points[1:])]
-    dens = [int(g.denominator) for g in gaps]
-    top = max(dens, default=1)
-    if any(top % d for d in dens):
-        return None
-    ints = [0]
-    for g, d in zip(gaps, dens):
-        ints.append(ints[-1] + int(g.numerator) * (2 * top // d))
-    return ints
+    try:
+        pairs = list(map(float.as_integer_ratio, points))
+    except TypeError:
+        pairs = [(int(x.numerator), int(x.denominator)) for x in (
+            x if hasattr(x, "denominator") else EXACT.convert(x)
+            for x in points)]
+    scale = lcm(*(d for _, d in pairs))
+    ints = [n * (scale // d) for n, d in pairs]
+    first = ints[0] if ints else 0
+    ints = [x - first for x in ints]
+    g = gcd(scale, *ints)
+    return [x // g * 2 for x in ints]
 
 
 def check_finite(values, what, indices=None):
@@ -482,9 +485,10 @@ class DividedDifferenceTable:
     extensions without recomputation. The ENO trace code keeps its
     stage-wise selection and evaluation on the table, one state per kind,
     so that a higher order resumes a lower one's; that state holds no
-    reference back to the table. Points that are all ints are the field's
-    coordinates on their grid (see grid_integers and trace_table): the
-    trace code evaluates on them and reports the field's own coordinates.
+    reference back to the table. build_table gives the trace and check
+    code exact tables whose points are all ints, the field's coordinates
+    on their grid (grid_integers), on any mesh: the trace code evaluates on
+    them and reports the field's own coordinates.
     """
 
     def __init__(self, points, levels):
@@ -527,9 +531,9 @@ def divided_difference_table(points, values, max_order=None):
     check_finite(vals, "value")
     if max_order is None or max_order > len(pts) - 1:
         max_order = len(pts) - 1
-    table = level_table(pts, vals, max_order)
-    return DividedDifferenceTable(tuple(table.points),
-                                  [tuple(level) for level in table.levels])
+    pts = promote_integers(pts)
+    levels = divided_difference_levels(pts, promote_integers(vals), max_order)
+    return DividedDifferenceTable(tuple(pts), list(map(tuple, levels)))
 
 
 def divided_difference_levels(points, values, max_order, order=0):
@@ -550,20 +554,38 @@ def divided_difference_levels(points, values, max_order, order=0):
     return levels
 
 
-def level_table(points, values, max_order, order=0):
-    """Table of level-`order` data over points, with ints in exact data
-    promoted first; float data must already be all float (float_entry)."""
-    points = promote_integers(points)
+def build_table(points, values, max_order, order=0, grid=False):
+    """The table of level-`order` values over points that the trace, check
+    and per-anchor code builds: all float when either holds a float
+    (float_entry), else exact.
+
+    Float levels that overflow to NaN or +-inf raise NonFiniteValue.
+    Exact values are promoted (promote_integers), and so are exact points,
+    which stay in the caller's coordinates, as the per-anchor Newton forms
+    need them; with `grid` they become their grid_integers, which keep
+    every product of coordinate differences an int. The divided
+    differences are taken over the points the table holds, so both give
+    the same stencils and traces.
+    """
+    points, values, approximate = float_entry(points, values)
+    if approximate:
+        levels = divided_difference_levels(points, values, max_order, order)
+        # A NaN or infinity at one level makes NaN or infinities at every
+        # level above it, so the top level shows an overflow anywhere.
+        check_finite_column(levels[-1],
+                            f"float overflow: level-{max_order} entry")
+        return DividedDifferenceTable(points, levels)
+    points = grid_integers(points) if grid else _own_type(points)
     return DividedDifferenceTable(points, divided_difference_levels(
-        points, promote_integers(values), max_order, order))
+        points, _own_type(values), max_order, order))
 
 
 def field_table(field, max_order, shift):
-    """The divided-difference table of a field, the one every entry point
-    given no table builds: a PointValueField's values at level 0 (shift =
-    NODE), or a primitive's averages at level 1 (CELL), over its nodes,
-    all float when either holds a float (float_entry). The table is in
-    the field's coordinates, so per-anchor polynomials are too.
+    """The build_table of a field, the one every per-anchor call and
+    oracle given no table builds: a PointValueField's values at level 0
+    (shift = NODE), or a primitive's averages at level 1 (CELL), over its
+    nodes. The table is in the field's coordinates, so per-anchor
+    polynomials are too.
 
     Raises:
         TypeError: a CELL field without averages, which only
@@ -574,36 +596,4 @@ def field_table(field, max_order, shift):
     if data is None:
         raise TypeError("the primitive carries no averages; build it with "
                         "primitive_from_averages")
-    coords, data, approximate = float_entry(field.nodes, data)
-    if approximate:
-        return _float_table(coords, data, max_order, shift)
-    return level_table(coords, data, max_order, shift)
-
-
-def _float_table(points, values, max_order, order):
-    """Table of all-float data; levels they overflow to NaN or +-inf raise
-    NonFiniteValue."""
-    levels = divided_difference_levels(points, values, max_order, order)
-    # A NaN or infinity at one level makes NaN or infinities at every
-    # level above it, so the top level shows an overflow anywhere.
-    check_finite_column(levels[-1], f"float overflow: level-{max_order} entry")
-    return DividedDifferenceTable(points, levels)
-
-
-def trace_table(points, values, max_order, order=0, approximate=False):
-    """The table the trace and check code builds for itself.
-
-    Approximate data, all float from float_entry, are taken as they are;
-    levels they overflow to NaN or +-inf raise NonFiniteValue.
-    Exact points whose gaps lie on one grid become their grid_integers,
-    which keep every product of coordinate differences an int; any other
-    points go to level_table. The divided differences are taken over the
-    points the table holds, so both give the same stencils and traces.
-    """
-    if approximate:
-        return _float_table(points, values, max_order, order)
-    ints = grid_integers(points)
-    if ints is None:
-        return level_table(points, values, max_order, order)
-    return DividedDifferenceTable(ints, divided_difference_levels(
-        ints, promote_integers(values), max_order, order))
+    return build_table(field.nodes, data, max_order, shift)

@@ -12,17 +12,17 @@ data is binary64; comparing a measured jump ratio against a bound must not
 be polluted by round-off in the bound itself.
 
 The oracle and the jump bound read the same window products at a
-breakpoint. `_window_pass` builds them once per breakpoint, in O(p) on int
-coordinates, and gives the bound there as an int pair and, on a table over
-grid_integers, whether the telescoped jump equals the trace jump, compared
-by int cross-multiplication; position_bounds and harness.check_orders both
-run on it.
+breakpoint. `_window_pass` builds them once per breakpoint, in O(p) on the
+coordinates' grid_integers, and gives the bound there as an int pair and,
+with an exact table over those ints, whether the telescoped jump equals
+the trace jump, compared by int cross-multiplication; position_bounds and
+harness.check_orders both run on it.
 """
 
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial
 
 from .errors import StencilOutOfRange
 from .numerics import (
@@ -32,6 +32,7 @@ from .numerics import (
     check_depth,
     check_increasing,
     field_table,
+    grid_integers,
     halfway,
     is_float_data,
     quotient,
@@ -579,30 +580,13 @@ def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
     return BoundTable(kind, p, position, constants, total / divisor)
 
 
-def _bound_integers(points, shift):
-    """Exact or float points as the ints position_bounds computes on: the
-    exact points times (2 - shift) times the least common multiple of
-    their denominators, whose node midpoints are ints too. Floats need
-    no rational: their denominators are powers of two."""
-    try:
-        pairs = list(map(float.as_integer_ratio, points))
-    except TypeError:
-        pass
-    else:
-        scale = (2 - shift) * max((d for _, d in pairs), default=1)
-        return [n * (scale // d) for n, d in pairs]
-    X = [x if hasattr(x, "denominator") else EXACT.convert(x) for x in points]
-    scale = (2 - shift) * lcm(*(int(x.denominator) for x in X))
-    return [int(x.numerator) * (scale // int(x.denominator)) for x in X]
-
-
 def position_bounds(mesh, orders, kind="reconstruction"):
     """Aggregated jump bound at every admissible position, for each order.
 
     One stage-constant table, built up to the largest order that fits,
     serves every position and every order. The bounds are invariant under
-    scaling the coordinates, so they are computed on _bound_integers:
-    integers whose node midpoints are integers too, which keep the
+    shifting and scaling the coordinates, so they are computed on their
+    grid_integers, whose node midpoints are integers too, which keep the
     geometric factors and the stage constants' denominators in integers.
     Each bound is the int pair of _window_pass, made one rational.
 
@@ -621,7 +605,7 @@ def position_bounds(mesh, orders, kind="reconstruction"):
     shift = _kind_shift(kind)
     if not orders:
         return {}
-    X = _bound_integers(_coordinates(mesh), shift)
+    X = grid_integers(_coordinates(mesh))
     rows = _stage_rows(X, max(orders), shift)
     bounds = {}
     for p in orders:

@@ -29,7 +29,7 @@ if __name__ == "__main__":  # a source checkout, run as a script
 
 from enokit import CellAverageField, Mesh, PointValueField
 from enokit import interface_traces, midpoint_traces
-from enokit.numerics import level_table
+from enokit.numerics import build_table
 from enokit.stability import (
     sign_report,
     telescoped_terms_interpolation,
@@ -119,7 +119,7 @@ def _table_digest(kind):
     level = _level(kind)
     return _sha(repr(column)
                 for xs, data in _fields(kind)
-                for column in level_table(xs, data, 6 + level,
+                for column in build_table(xs, data, 6 + level,
                                           level).levels[level:])
 
 
@@ -129,7 +129,7 @@ def _oracle_digest(kind):
                 else telescoped_terms_interpolation)
     lines = []
     for xs, data, p, traces in _traced(kind):
-        table = level_table(xs, data, p + level, level)
+        table = build_table(xs, data, p + level, level)
         for t in traces:
             lines.append(repr(terms_of(None, t.left_signature,
                                        t.right_signature, t.index, p,

@@ -27,8 +27,7 @@ from enokit import (
 )
 
 from enokit.harness import _trial_inputs, check_orders
-from enokit.numerics import ExactBackend, _gmpy2, field_table, float_entry, \
-    trace_table
+from enokit.numerics import ExactBackend, _gmpy2, build_table, field_table
 
 from conftest import _lagrange_value, random_fraction_mesh, random_int_values
 
@@ -134,6 +133,41 @@ def test_fuzz_parallel_equals_serial():
     serial = fuzz_sign_property(SMALL).to_json()
     parallel = fuzz_sign_property(SMALL, workers=3).to_json()
     assert serial == parallel
+
+
+def test_fuzz_pool_asks_for_no_more_workers_than_trials(monkeypatch):
+    """A process pool forks all of its workers at the first submit, so a
+    parallel run asks for at most one worker per trial: 2 for two trials
+    at --workers 5000. The pool is a stand-in that records max_workers
+    and maps in-process, so the test starts no process."""
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    two = FuzzConfig(seed=7, trials=2, cells=16, orders=(1, 2, 3))
+    assert fuzz_sign_property(two, workers=5000).to_json() \
+        == fuzz_sign_property(two).to_json()
+    assert fuzz_sign_property(SMALL, workers=3).to_json() \
+        == fuzz_sign_property(SMALL).to_json()
+    one = FuzzConfig(seed=7, trials=1, cells=16, orders=(1, 2, 3))
+    assert fuzz_sign_property(one, workers=5000).to_json() \
+        == fuzz_sign_property(one).to_json()
+    assert asked == [2, 3]
 
 
 def test_fuzz_seed_changes_the_report():
@@ -269,8 +303,7 @@ def test_exact_checks_run_on_the_backend_type(kind):
         values = values[:len(coords) - shift]
         field = (CellAverageField(Mesh(coords), values) if shift
                  else PointValueField(coords, values))
-        X, data, approximate = float_entry(coords, values)
-        tables = (trace_table(X, data, 6 + shift, shift, approximate),
+        tables = (build_table(coords, values, 6 + shift, shift, grid=True),
                   field_table(primitive_from_averages(field) if shift
                               else field, 6 + shift, shift))
         for table in tables:
@@ -443,3 +476,59 @@ def test_planted_fuzz_reports_are_pinned(monkeypatch, workers):
         assert report.violations and report.bound_exceedances \
             and report.oracle_mismatches
     assert _fuzz_digest(PLANTED_FUZZ_CONFIGS, workers) == PLANTED_FUZZ_DIGEST
+
+
+def _off_grid_meshes():
+    """Meshes whose gaps share no grid with few points: a sevenths mesh of
+    20 cells, a 30-cell mesh with gap denominators up to 1000, and a
+    20-cell float mesh."""
+    rng = random.Random("off-grid check loop")
+    sevenths = [Fraction(0)]
+    for _ in range(20):
+        sevenths.append(sevenths[-1] + Fraction(rng.randint(1, 8),
+                                                rng.choice((3, 7))))
+    thousandths = [Fraction(1, 3)]
+    for _ in range(30):
+        den = rng.randint(1, 1000)
+        thousandths.append(thousandths[-1]
+                           + Fraction(rng.randint(den // 2 + 1, 2 * den), den))
+    floats = [0.1]
+    for _ in range(20):
+        floats.append(floats[-1] + rng.uniform(0.5, 2.0))
+    return {"sevenths": sevenths, "thousandths": thousandths,
+            "float": floats}
+
+
+def _off_grid_check_digest():
+    """sha256 over the repr of every output of check_orders, orders 1..6,
+    on each _off_grid_meshes mesh, for both kinds: int data with a step,
+    some of them nudged by 1e-9 (as floats on the float mesh)."""
+    digest = hashlib.sha256()
+    for name, xs in _off_grid_meshes().items():
+        for kind in ("reconstruction", "interpolation"):
+            rng = random.Random(f"{name}:{kind}")
+            count = len(xs) - 1 if kind == "reconstruction" else len(xs)
+            values = [v + Fraction(1, 10 ** 9) if i % 5 == 2 else v
+                      for i, v in enumerate(random_int_values(rng, count))]
+            values[count // 2:] = [v + 4 for v in values[count // 2:]]
+            if name == "float":
+                values = [float(v) for v in values]
+            field = (CellAverageField(Mesh(xs), values)
+                     if kind == "reconstruction"
+                     else PointValueField(xs, values))
+            for p, traces, report, agrees, bound, within in check_orders(
+                    field, range(1, 7)):
+                digest.update(repr((p, list(traces), report, agrees, bound,
+                                    within)).encode())
+                digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# Recorded while tables over meshes off one small grid were still built in
+# the field's coordinates, and their exact oracle compared telescoped_jumps.
+OFF_GRID_CHECK_DIGEST = (
+    "7d16f49f8415bf34e2ea0a3567c26bb7bc51e46d6edf2f05bd383ffa21c95fa9")
+
+
+def test_off_grid_check_loop_is_pinned():
+    assert _off_grid_check_digest() == OFF_GRID_CHECK_DIGEST

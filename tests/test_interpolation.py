@@ -245,11 +245,11 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     import enokit.harness as harness
     from enokit.harness import check_orders
     from enokit.stability import trace_columns
-    from enokit.numerics import halfway, level_table
+    from enokit.numerics import build_table, halfway
 
     field = _contract_field(scalar, p)
     n = len(field.nodes)
-    table = level_table(field.nodes, field.values, p - 1)
+    table = build_table(field.nodes, field.values, p - 1)
     X = table.points
     sigs = {i: select_signature_pointwise(field, i, p, table=table)
             for i in range(p - 1, n - p + 1)}
@@ -323,10 +323,10 @@ def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
 
 
 def test_a_shallow_table_is_a_value_error():
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field = PointValueField(range(12), [(-1) ** i for i in range(12)])
-    table = level_table(field.nodes, field.values, 1)
+    table = build_table(field.nodes, field.values, 1)
     with pytest.raises(ValueError, match="depth 2"):
         midpoint_traces(field, 3, table=table)
     assert table._eno_stages == {}

@@ -208,7 +208,7 @@ def test_shared_table_matches_per_call():
 def test_traces_from_a_given_table_build_no_primitive(monkeypatch, scalar):
     import enokit.grid as grid
     from enokit import divided_difference_table
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     rng = random.Random(6)
     xs = random_fraction_mesh(rng, 15)
@@ -223,7 +223,7 @@ def test_traces_from_a_given_table_build_no_primitive(monkeypatch, scalar):
         raise AssertionError("a primitive was built")
 
     monkeypatch.setattr(grid, "primitive_from_averages", no_primitive)
-    table = level_table(field.mesh.interfaces, field.averages, 5, order=1)
+    table = build_table(field.mesh.interfaces, field.averages, 5, order=1)
     expected = interface_traces(field, 3)
     assert interface_traces(field, 3, table=table) == expected
     if scalar is Fraction:
@@ -276,14 +276,14 @@ def test_float_oracle_without_a_table_is_the_batch_oracle(p):
     """The one-breakpoint oracle given no table differences the averages
     as telescoped_jumps does on their table, so the two agree bit for
     bit."""
-    from enokit.numerics import CELL, level_table
+    from enokit.numerics import CELL, build_table
     from enokit.stability import telescoped_jumps
 
     xs, data = non_dyadic_steps()
     field = CellAverageField(Mesh(xs), data)
     batch = interface_traces(field, p)
     prim = primitive_from_averages(field)
-    column = telescoped_jumps(level_table(xs, data, p + 1, order=1), batch, p,
+    column = telescoped_jumps(build_table(xs, data, p + 1, order=1), batch, p,
                               CELL)
     one_by_one = [telescoped_jump_reconstruction(prim, left, right, i, p)
                   for left, right, i in zip(batch.left_signatures,
@@ -313,13 +313,13 @@ def test_newton_interpolant_from_an_averages_table():
     its constant term from the primitive and equals the one built from the
     primitive's own table."""
     from enokit import divided_difference_table
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     rng = random.Random(8)
     field = CellAverageField(uniform_mesh(12), random_int_values(rng, 12))
     prim = primitive_from_averages(field)
     for p in (1, 3, 4):
-        table = level_table(field.mesh.interfaces, field.averages, p + 1,
+        table = build_table(field.mesh.interfaces, field.averages, p + 1,
                             order=1)
         own = divided_difference_table(prim.nodes, prim.values, max_order=p)
         for cell in range(p - 1, 13 - p):
@@ -328,7 +328,7 @@ def test_newton_interpolant_from_an_averages_table():
     floats = CellAverageField(Mesh([float(x) for x in field.mesh.interfaces]),
                               [float(v) for v in field.averages])
     prim = primitive_from_averages(floats)
-    table = level_table(floats.mesh.interfaces, floats.averages, 4, order=1)
+    table = build_table(floats.mesh.interfaces, floats.averages, 4, order=1)
     poly = reconstruct_cell(prim, 5, 3, table=table)
     assert cell_mean(poly, floats.mesh) == pytest.approx(floats.averages[5])
 
@@ -370,11 +370,11 @@ def test_trace_batch_contract(monkeypatch, scalar, p):
     import enokit.harness as harness
     from enokit.harness import check_orders
     from enokit.stability import trace_columns
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field = _contract_field(scalar, p)
     n = field.mesh.ncells
-    table = level_table(field.mesh.interfaces, field.averages, p, order=1)
+    table = build_table(field.mesh.interfaces, field.averages, p, order=1)
     prim = primitive_from_averages(field)
     sigs = {c: select_signature(prim, c, p, table=table)
             for c in range(p - 1, n - p + 1)}
@@ -472,13 +472,13 @@ def test_orders_sharing_a_table_match_fresh_calls(kind, scalar):
     agreements, yielded in the order asked."""
     from enokit import midpoint_traces
     from enokit.harness import check_orders
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field, xs, values, level = _shared_table_field(kind, scalar)
     traces_of = interface_traces if kind == "reconstruction" else midpoint_traces
     fresh = {p: [repr(t) for t in traces_of(field, p)] for p in range(1, 7)}
     for calls in ((6, 4, 3, 1, 1, 3, 4, 6), (1, 3, 4, 6, 6, 4, 3, 1)):
-        table = level_table(xs, values, 6 + level, level)
+        table = build_table(xs, values, 6 + level, level)
         for p in calls:
             assert [repr(t) for t in traces_of(field, p, table=table)] \
                 == fresh[p]
@@ -503,11 +503,11 @@ def test_batch_signatures_follow_the_stage_columns(kind, scalar):
     with equal offsets share one signature object; p = 1..7 resumed on
     one table."""
     from enokit import midpoint_traces
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field, xs, values, level = _shared_table_field(kind, scalar)
     traces_of = interface_traces if kind == "reconstruction" else midpoint_traces
-    table = level_table(xs, values, 7 + level, level)
+    table = build_table(xs, values, 7 + level, level)
     for p in range(1, 8):
         batch = traces_of(field, p, table=table)
         lefts = table._eno_stages[level].lefts
@@ -536,7 +536,7 @@ def test_batch_signatures_outlive_later_orders_on_their_table(kind, scalar):
     orders 2, 4, 6, 2, 4 after the last of them."""
     from enokit import midpoint_traces, select_signature_pointwise
     from enokit.harness import check_orders
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field, xs, values, level = _shared_table_field(kind, scalar)
     if kind == "reconstruction":
@@ -551,7 +551,7 @@ def test_batch_signatures_outlive_later_orders_on_their_table(kind, scalar):
         def select(anchor, p):
             return select_signature_pointwise(field, anchor, p)
     batches = [(p, traces) for p, traces, *_ in check_orders(field, (6, 2, 4))]
-    table = level_table(xs, values, 6 + level, level)
+    table = build_table(xs, values, 6 + level, level)
     batches += [(p, traces_of(field, p, table=table))
                 for p in (2, 4, 6, 2, 4)]
     for p, batch in batches:
@@ -574,13 +574,13 @@ def test_a_traced_table_needs_no_cycle_collector(kind):
     import weakref
 
     from enokit import midpoint_traces
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field, xs, values, level = _shared_table_field(kind, Fraction)
     traces_of = interface_traces if kind == "reconstruction" else midpoint_traces
     gc.disable()
     try:
-        table = level_table(xs, values, 4 + level, level)
+        table = build_table(xs, values, 4 + level, level)
         traces_of(field, 2, table=table)
         traces_of(field, 4, table=table)
         alive = weakref.ref(table)
@@ -592,10 +592,10 @@ def test_a_traced_table_needs_no_cycle_collector(kind):
 
 def test_a_table_that_does_not_fit_is_a_typed_error():
     from enokit import ShapeError
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     field = CellAverageField(uniform_mesh(12), [(-1) ** i for i in range(12)])
-    table = level_table(field.mesh.interfaces, field.averages, 2, order=1)
+    table = build_table(field.mesh.interfaces, field.averages, 2, order=1)
     with pytest.raises(ValueError, match="depth 3"):
         interface_traces(field, 3, table=table)
     assert table._eno_stages == {}
@@ -639,30 +639,28 @@ def test_grid_integers():
         == [0, 2, 4, 8]
     assert grid_integers([2, 3, 7]) == [0, 2, 10]
     assert grid_integers([Fraction(0), Fraction(1, 3), Fraction(1, 2),
-                          Fraction(3, 4)]) is None
-    assert grid_integers([0.0, 0.5, 1.0]) is None
+                          Fraction(3, 4)]) == [0, 8, 12, 18]
+    assert grid_integers([0.0, 0.5, 1.0]) == [0, 2, 4]
     for name, xs in _grid_meshes(20).items():
         ints = grid_integers(xs)
-        assert (ints is None) == (name == "off-grid")
-        if ints is not None:
-            assert all(type(x) is int for x in ints)
-            scale = Fraction(ints[1], 1) / (xs[1] - xs[0])
-            assert all(i == (x - xs[0]) * scale for i, x in zip(ints, xs))
+        assert all(type(x) is int for x in ints)
+        scale = Fraction(ints[1], 1) / (xs[1] - xs[0])
+        assert all(i == (x - xs[0]) * scale for i, x in zip(ints, xs))
 
 
 @pytest.mark.parametrize("mesh", ["ticks", "decimals", "ints", "dyadic",
                                   "off-grid"])
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
 def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
-    """Traces and checks on a table of their own, over grid_integers on a
-    grid mesh, equal those on a caller-given level_table in the field's
+    """Traces and checks on a table of their own, over grid_integers on
+    any mesh, equal those on a caller-given build_table in the field's
     coordinates: the repr of every trace, the values and types of the
     locations, the sign reports, the oracle agreements and the bounds at
     every breakpoint of the check loop's window pass, which position_bounds
     gives on the field's coordinates too."""
     from enokit import PointValueField, harness, midpoint_traces
     from enokit import eno_reconstruction
-    from enokit.numerics import level_table, quotient, trace_table
+    from enokit.numerics import build_table, quotient
     from enokit.stability import (
         position_bounds,
         telescoped_jump_interpolation,
@@ -673,7 +671,7 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     passed = {}
 
     def recording(*args, **kwargs):
-        built.append(trace_table(*args, **kwargs))
+        built.append(build_table(*args, **kwargs))
         return built[-1]
 
     real_pass = harness._window_pass
@@ -683,8 +681,8 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
         passed[p] = dict(zip(positions, map(quotient, nums, dens)))
         return nums, dens, agrees
 
-    monkeypatch.setattr(eno_reconstruction, "trace_table", recording)
-    monkeypatch.setattr(harness, "trace_table", recording)
+    monkeypatch.setattr(eno_reconstruction, "build_table", recording)
+    monkeypatch.setattr(harness, "build_table", recording)
     monkeypatch.setattr(harness, "_window_pass", spying)
     xs = _grid_meshes(26)[mesh]
     rng = random.Random(f"{kind}:{mesh}")
@@ -698,7 +696,7 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
     else:
         field, level = PointValueField(xs, values), 0
         traces_of, telescoped = midpoint_traces, telescoped_jump_interpolation
-    given = level_table(xs, values, 6 + level, level)
+    given = build_table(xs, values, 6 + level, level)
     want = {p: traces_of(field, p, table=given) for p in range(1, 7)}
     for p in range(1, 7):
         got = traces_of(field, p)
@@ -721,9 +719,7 @@ def test_tables_on_grid_integers_give_todays_results(kind, mesh, monkeypatch):
             for t in want[p]]
         assert all(agrees) and all(within)
     assert len(built) == 7
-    on_grid = mesh != "off-grid"
-    assert all((type(x) is int) == on_grid
-               for table in built for x in table.points)
+    assert all(type(x) is int for table in built for x in table.points)
 
 
 @pytest.mark.parametrize("scale, data, p, column", [
@@ -780,14 +776,15 @@ def test_newton_forms_reject_a_table_in_grid_units():
     per-cell and per-node Newton forms reject it rather than return
     polynomials in those units, and take the field's own table."""
     from enokit import ShapeError, PointValueField, interpolant_at_node
-    from enokit.numerics import CELL, NODE, field_table, trace_table
+    from enokit.numerics import CELL, NODE, build_table, field_table
 
     xs = [Fraction(k, 10) for k in range(9)]
     squares = [Fraction(k * k) for k in range(9)]
     field = CellAverageField(Mesh(xs), squares[:8])
     prim = primitive_from_averages(field)
     with pytest.raises(ShapeError, match="field_table"):
-        reconstruct_cell(prim, 3, 3, table=trace_table(xs, squares[:8], 3, CELL))
+        reconstruct_cell(prim, 3, 3, table=build_table(xs, squares[:8], 3, CELL,
+                                                       grid=True))
     poly = reconstruct_cell(prim, 3, 3, table=field_table(prim, 3, CELL))
     assert poly == reconstruct_cell(prim, 3, 3)
     assert poly.antiderivative.points == (Fraction(3, 10), Fraction(2, 5),
@@ -796,6 +793,7 @@ def test_newton_forms_reject_a_table_in_grid_units():
 
     nodes = PointValueField(xs, squares)
     with pytest.raises(ShapeError, match="field_table"):
-        interpolant_at_node(nodes, 3, 3, table=trace_table(xs, squares, 2, NODE))
+        interpolant_at_node(nodes, 3, 3, table=build_table(xs, squares, 2, NODE,
+                                                           grid=True))
     assert interpolant_at_node(nodes, 3, 3, table=field_table(nodes, 2, NODE)) \
         == interpolant_at_node(nodes, 3, 3)

@@ -328,16 +328,16 @@ def test_the_oracle_shares_no_code_with_the_trace_path():
 def test_a_shallow_oracle_table_is_a_value_error():
     """The oracles read level p+1 (reconstruction) or p (interpolation)
     of their table; one level less is a ValueError naming that depth."""
-    from enokit.numerics import level_table
+    from enokit.numerics import build_table
 
     cells = CellAverageField(uniform_mesh(12), [(-1) ** i for i in range(12)])
     xs, avgs = cells.mesh.interfaces, cells.averages
     left, right = (0, -1, -2), (0, 0, 0)
     with pytest.raises(ValueError, match="order 3 needs .* depth 4"):
         telescoped_jump_reconstruction(
-            None, left, right, 6, 3, table=level_table(xs, avgs, 3, order=1))
+            None, left, right, 6, 3, table=build_table(xs, avgs, 3, order=1))
     jump = telescoped_jump_reconstruction(
-        None, left, right, 6, 3, table=level_table(xs, avgs, 4, order=1))
+        None, left, right, 6, 3, table=build_table(xs, avgs, 4, order=1))
     assert jump == telescoped_jump_reconstruction(
         primitive_from_averages(cells), left, right, 6, 3)
 
@@ -345,9 +345,9 @@ def test_a_shallow_oracle_table_is_a_value_error():
     nodes, values = points.nodes, points.values
     with pytest.raises(ValueError, match="order 3 needs .* depth 3"):
         telescoped_jump_interpolation(
-            None, left, right, 5, 3, table=level_table(nodes, values, 2))
+            None, left, right, 5, 3, table=build_table(nodes, values, 2))
     jump = telescoped_jump_interpolation(
-        None, left, right, 5, 3, table=level_table(nodes, values, 3))
+        None, left, right, 5, 3, table=build_table(nodes, values, 3))
     assert jump == telescoped_jump_interpolation(points, left, right, 5, 3)
 
 
@@ -376,7 +376,7 @@ def test_columnar_oracle_equals_the_per_breakpoint_oracle(kind, scalar):
     from functools import reduce
     from operator import add
 
-    from enokit.numerics import CELL, NODE, float_entry, trace_table
+    from enokit.numerics import CELL, NODE, build_table
     from enokit.stability import (
         telescoped_jumps,
         telescoped_terms_interpolation,
@@ -400,8 +400,7 @@ def test_columnar_oracle_equals_the_per_breakpoint_oracle(kind, scalar):
                 field = CellAverageField(Mesh(xs_s), data_s)
             else:
                 field = PointValueField(xs_s, data_s)
-            coords, values, approximate = float_entry(xs_s, data_s)
-            table = trace_table(coords, values, 6 + shift, shift, approximate)
+            table = build_table(xs_s, data_s, 6 + shift, shift, grid=True)
             for p in range(1, 7):
                 batch = traces_of(field, p, table=table)
                 tuples = _all_offset_tuples(p)
@@ -474,18 +473,19 @@ def test_breakpoint_products_equal_the_window_products(shift):
 
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
 def test_window_pass_equals_the_oracle_and_position_bounds(kind):
-    """On tables over grid_integers the window pass's agreements are
-    telescoped_jumps(...) == jumps, for the traces' signatures and for
-    crafted ones: plain tuples of the order, which reach the reversed
-    (lo > hi + 1) and the empty sum. Its bound pairs, made rationals, are
-    position_bounds' at every breakpoint, on the table's ints and on
-    position_bounds' own ints. Signatures of the next order, whose
-    windows the bound does not read, raise ValueError."""
+    """On tables over grid_integers, on grid and off-grid meshes, the
+    window pass's agreements are telescoped_jumps(...) == jumps, for the
+    traces' signatures and for crafted ones: plain tuples of the order,
+    which reach the reversed (lo > hi + 1) and the empty sum. Its bound
+    pairs, made rationals, are position_bounds' at every breakpoint, with
+    the oracle and without it, on the grid_integers that the table and
+    position_bounds share. Signatures of the next order, whose windows
+    the bound does not read, raise ValueError."""
     from dataclasses import replace
 
-    from enokit.numerics import CELL, NODE, quotient, trace_table
+    from enokit.numerics import CELL, NODE, build_table, grid_integers, \
+        quotient
     from enokit.stability import (
-        _bound_integers,
         _stage_rows,
         _window_pass,
         telescoped_jumps,
@@ -498,16 +498,19 @@ def test_window_pass_equals_the_oracle_and_position_bounds(kind):
     else:
         shift, count, traces_of = NODE, n + 1, midpoint_traces
     seen = set()
-    for xs in (_oracle_meshes(rng, n)[1],
-               [Fraction(rng.randint(1, 9), 10) + k for k in range(n + 1)]):
+    off_grid, on_grid = _oracle_meshes(rng, n)
+    for xs in (on_grid,
+               [Fraction(rng.randint(1, 9), 10) + k for k in range(n + 1)],
+               off_grid):
         data = random_int_values(rng, count)
         field = (CellAverageField(Mesh(xs), data) if shift
                  else PointValueField(xs, data))
-        table = trace_table(xs, data, 7 + shift, shift)
+        table = build_table(xs, data, 7 + shift, shift, grid=True)
         X = table.points
         assert {type(x) for x in X} == {int}
         rows = _stage_rows(X, 6, shift)
-        scaled = _bound_integers(xs, shift)
+        scaled = grid_integers(xs)
+        assert scaled == X
         scaled_rows = _stage_rows(scaled, 6, shift)
         on_coords = position_bounds(xs, range(1, 7), kind)
         for p in range(1, 7):
@@ -553,24 +556,30 @@ def test_window_pass_equals_the_oracle_and_position_bounds(kind):
 
 @pytest.mark.parametrize("shift", [0, 1])
 def test_float_bound_integers_are_the_rational_paths(shift):
-    """Float points, read by as_integer_ratio, scale to the ints that
-    their exact values give on the rational path: negative, subnormal
-    and huge floats among them. Points that are not all floats take the
-    rational path and give the same ints."""
-    from enokit.stability import _bound_integers
+    """Float points, read by as_integer_ratio, scale to the grid_integers
+    that their exact values give on the rational path: negative,
+    subnormal and huge floats among them. Points that are not all floats
+    take the rational path and give the same ints. Float coordinates get
+    the position_bounds of their exact values."""
+    from enokit.numerics import grid_integers
 
     rng = random.Random(23)
     floats = sorted({-1e300, -2.5, -5e-324, 0.0, 5e-324, 1e-310, 0.1, 1 / 3,
                      7.0, 1e300, *(rng.uniform(-1e3, 1e3) for _ in range(40))})
-    want = _bound_integers([EXACT.convert(x) for x in floats], shift)
-    assert _bound_integers(floats, shift) == want
+    exact = [EXACT.convert(x) for x in floats]
+    want = grid_integers(exact)
+    assert grid_integers(floats) == want
     assert {type(n) for n in want} == {int}
-    assert _bound_integers(floats[:3], shift) == \
-        _bound_integers([EXACT.convert(x) for x in floats[:3]], shift)
-    assert _bound_integers([-2, 0.5, 3], shift) == \
-        [k * (2 - shift) for k in (-4, 1, 6)]
-    assert _bound_integers([], shift) == []
+    assert grid_integers(floats[:3]) == grid_integers(exact[:3])
+    assert grid_integers([-2, 0.5, 3]) == [0, 10, 20]
+    assert grid_integers([]) == []
     assert position_bounds([], (1,)) == {1: {}}
+    kind = "reconstruction" if shift else "interpolation"
+    middle = [0.1]
+    for _ in range(11):
+        middle.append(middle[-1] + rng.uniform(0.5, 2))
+    assert position_bounds(middle, (1, 2, 3), kind) == position_bounds(
+        [EXACT.convert(x) for x in middle], (1, 2, 3), kind)
 
 
 @pytest.mark.parametrize("kind", ["reconstruction", "interpolation"])
