@@ -239,18 +239,13 @@ def _trace_rows(traces, backend):
     )
 
 
-def _cmd_reconstruct(args):
+def _cmd_traces(args):
     backend = get_backend(args.backend)
-    field = _read_cells(args.input, backend)
-    traces = interface_traces(field, args.order)
-    _write_rows(args.output, TRACE_HEADER, _trace_rows(traces, backend))
-    return 0
-
-
-def _cmd_interpolate(args):
-    backend = get_backend(args.backend)
-    field = _read_points(args.input, backend)
-    traces = midpoint_traces(field, args.order)
+    if args.command == "reconstruct":
+        read, traces_of = _read_cells, interface_traces
+    else:
+        read, traces_of = _read_points, midpoint_traces
+    traces = traces_of(read(args.input, backend), args.order)
     _write_rows(args.output, TRACE_HEADER, _trace_rows(traces, backend))
     return 0
 
@@ -390,13 +385,13 @@ def build_parser():
                        help="interface traces from a cell CSV (x_left,x_right,avg)")
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=_cmd_reconstruct)
+    p.set_defaults(func=_cmd_traces)
 
     p = sub.add_parser("interpolate",
                        help="midpoint traces from a point CSV (x,value)")
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=_cmd_interpolate)
+    p.set_defaults(func=_cmd_traces)
 
     p = sub.add_parser("verify",
                        help="sign, jump-bound and telescoped-oracle checks, JSON")

@@ -63,19 +63,37 @@ def test_help_exits_zero(capsys):
     assert "reconstruct" in out
 
 
-def test_import_leaves_numpy_unloaded():
-    """Only `converge` needs numpy, and only `fuzz --workers` above 1 the
-    process pool; importing the package and its front end in a fresh
-    interpreter must load neither."""
+def _checkout_env():
+    """The environment of a fresh interpreter that imports enokit from the
+    checkout under test."""
     src = os.path.dirname(os.path.dirname(enokit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_import_leaves_numpy_unloaded():
+    """enokit needs no numpy, and only `fuzz --workers` above 1 needs the
+    process pool; importing the package and its front end in a fresh
+    interpreter must load neither."""
     code = ("import sys, enokit, enokit.cli; print('numpy' in sys.modules, "
             "'concurrent.futures.process' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False False"
+
+
+def test_converge_needs_no_numpy():
+    """`converge` runs in an interpreter where importing numpy fails."""
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from enokit.cli import main\n"
+            "sys.exit(main(['converge', '--orders', '1,2', "
+            "'--resolutions', '8,16']))")
+    result = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 5
 
 
 def test_bounds_uniform_reconstruction(capsys):

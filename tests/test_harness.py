@@ -377,6 +377,33 @@ def test_convergence_rejects_repeated_orders():
         convergence_study(math.sin, (2, 1, 2), (8, 16))
 
 
+def test_gauss_legendre_rule_integrates_polynomials():
+    """The 12-point rule: antisymmetric nodes, symmetric weights summing to
+    2, and every monomial of degree <= 23 integrated over [-1, 1]."""
+    from enokit.harness import _GAUSS_LEGENDRE_12
+
+    nodes, weights = zip(*_GAUSS_LEGENDRE_12)
+    assert len(nodes) == 12
+    assert list(nodes) == sorted(nodes)
+    assert nodes == tuple(-t for t in reversed(nodes))
+    assert weights == tuple(reversed(weights))
+    assert abs(math.fsum(weights) - 2) <= 1e-15
+    for k in range(24):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum(w * t ** k for t, w in _GAUSS_LEGENDRE_12)
+        assert abs(got - exact) <= 1e-15, k
+
+
+def test_gauss_legendre_rule_is_numpys():
+    """The rule's literals are numpy's leggauss(12), bit for bit."""
+    np = pytest.importorskip("numpy")
+    from enokit.harness import _GAUSS_LEGENDRE_12
+
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert _GAUSS_LEGENDRE_12 == tuple(zip(map(float, nodes),
+                                           map(float, weights)))
+
+
 def test_lagrange_oracle_matches_newton_form():
     from enokit import PointValueField, interpolant_at_node
 
@@ -476,6 +503,39 @@ def test_planted_fuzz_reports_are_pinned(monkeypatch, workers):
         assert report.violations and report.bound_exceedances \
             and report.oracle_mismatches
     assert _fuzz_digest(PLANTED_FUZZ_CONFIGS, workers) == PLANTED_FUZZ_DIGEST
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10])
+def test_float_oracle_check_is_scale_free(monkeypatch, scale):
+    """A telescoped jump planted as 2 t + s, for the true t, on a float
+    field of averages s * {-1, 0, 1, 2}, is caught at every breakpoint
+    where it differs from t by more than round-off, whatever the scale s:
+    all 35 at p = 3, and all but the 8 with t = -s at p = 1. Unplanted,
+    every breakpoint agrees."""
+    import enokit.harness as harness_mod
+
+    rng = random.Random(0)
+    xs = [0.0]
+    for _ in range(40):
+        xs.append(xs[-1] + rng.uniform(0.5, 2.0))
+    field = CellAverageField(
+        Mesh(xs), [scale * rng.choice((-1, 0, 1, 2)) for _ in range(40)])
+    for *_, agrees, _, _ in check_orders(field, (1, 3)):
+        assert all(agrees)
+    real_jumps = harness_mod.telescoped_jumps
+    true = {}
+
+    def planted(table, traces, p, shift):
+        true[p] = real_jumps(table, traces, p, shift)
+        return [2 * t + scale for t in true[p]]
+
+    monkeypatch.setattr(harness_mod, "telescoped_jumps", planted)
+    caught = {}
+    for p, _, _, agrees, _, _ in check_orders(field, (1, 3)):
+        assert [not a for a in agrees] == [
+            abs(t + scale) > 1e-6 * scale for t in true[p]]
+        caught[p] = agrees.count(False), len(agrees)
+    assert caught == {1: (31, 39), 3: (35, 35)}
 
 
 def _off_grid_meshes():
