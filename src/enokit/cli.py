@@ -12,7 +12,15 @@ pass (the backend's parse of the stripped cell, see FloatBackend.convert
 and ExactBackend.convert), a cell's x_left is not parsed again when its
 text is the previous row's x_right, and the row checks then run over the
 parsed columns. The fault reported is the first in file order, the one
-a row-by-row read would meet. Trace rows are serialized column by column.
+a row-by-row read would meet; a row the csv module cannot read (a field
+over its size limit) is such a fault, after the rows read before it.
+Files are read and written as UTF-8, whatever the locale.
+
+Trace rows are serialized column by column: a float batch's columns
+each in one repr pass, which gives FloatBackend.serialize's bytes. main
+builds its parser on its first call and reuses it: the parser holds no
+input, result or output of a call, and argparse parses each argv into a
+new Namespace, so calls in one process are independent.
 """
 
 import argparse
@@ -67,25 +75,31 @@ def _text_columns(path, header):
     """The data rows of a CSV as text columns, one per header name.
 
     Returns (lines, columns, fault): the 1-based line of each data row,
-    the columns, and the _CsvError of the first row with another column
-    count, which ends the data rows, or None. Blank lines are skipped.
+    the columns, and the _CsvError that ends the data rows, or None: that
+    of the first row with another column count, or of the row the csv
+    module could not read. Blank lines are skipped.
     """
+    rows = []
+    fault = None
     try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+        with open(path, newline="", encoding="utf-8") as handle:
+            try:
+                rows.extend(csv.reader(handle))  # keeps the rows before a fault
+            except csv.Error as exc:
+                fault = _CsvError(len(rows) + 1, str(exc))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     if not rows:
-        raise _CsvError(1, f"empty file; expected header {','.join(header)}")
+        raise fault or _CsvError(
+            1, f"empty file; expected header {','.join(header)}")
     if tuple(cell.strip() for cell in rows[0]) != header:
         raise _CsvError(
             1, f"expected header {','.join(header)}; got {','.join(rows[0])}")
     data = rows[1:]
-    if data and set(map(len, data)) == {len(header)}:
+    if data and not fault and set(map(len, data)) == {len(header)}:
         return range(2, len(rows) + 1), list(zip(*data)), None
     lines = []
     kept = []
-    fault = None
     for line, row in enumerate(data, start=2):
         if len(row) != len(header):
             if not row:
@@ -197,11 +211,10 @@ def _read_points(path, backend):
 
 
 def _write_rows(path, header, rows):
-    """Write the header and rows as CSV lines of each field's str(); a
-    field that needs quoting, as a signature label may, comes quoted."""
-    lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
-    lines.append("")
+    """Write the header and rows, each a sequence of field strings, as CSV
+    lines; a field that needs quoting, as a signature label may, comes
+    quoted."""
+    lines = [",".join(header), *map(",".join, rows), ""]
     _write_text(path, "\n".join(lines))
 
 
@@ -210,7 +223,7 @@ def _write_text(path, text):
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}")
@@ -218,16 +231,23 @@ def _write_text(path, text):
 
 def _trace_rows(traces, backend):
     """The rows of a TraceBatch, serialized column by column; each distinct
-    signature object is labelled once, quoted if it holds a comma."""
-    serialize = backend.serialize
+    signature object is labelled once, quoted if it holds a comma. An
+    approximate batch's columns hold floats, so repr gives the bytes of
+    FLOAT.serialize, repr(float(x)), with no call per field."""
     labels = {}
     for signatures in (traces.left_signatures, traces.right_signatures):
         labels.update(zip(map(id, signatures), signatures))
     for key, signature in labels.items():
         label = str(signature)
         labels[key] = f'"{label}"' if "," in label else label
-    ratios = ["CONT" if d == 0 else serialize(quotient(jump, d))
-              for jump, d in zip(traces.jumps, traces.data_jump)]
+    pairs = zip(traces.jumps, traces.data_jump)
+    if traces.approximate:
+        serialize = repr
+        ratios = ["CONT" if d == 0 else repr(jump / d) for jump, d in pairs]
+    else:
+        serialize = backend.serialize
+        ratios = ["CONT" if d == 0 else serialize(quotient(jump, d))
+                  for jump, d in pairs]
     return zip(
         map(serialize, traces.location),
         map(serialize, traces.left),
@@ -289,7 +309,7 @@ def _cmd_bounds(args):
         bounds = max_bounds(_read_points(args.input, EXACT).nodes, orders,
                             "interpolation")
     _write_rows(args.output, ("p", "bound"),
-                zip(orders, map(EXACT.serialize, bounds)))
+                zip(map(str, orders), map(EXACT.serialize, bounds)))
     return 0
 
 
@@ -361,13 +381,16 @@ def _cmd_converge(args):
     rows = []
     for i, p in enumerate(table.orders):
         for j, n in enumerate(table.resolutions):
-            rows.append((p, n, repr(table.errors[i][j]), repr(table.rates[i])))
+            rows.append((str(p), str(n), repr(table.errors[i][j]),
+                         repr(table.rates[i])))
     _write_rows(args.output, ("order", "resolution", "max_error", "fitted_rate"),
                 rows)
     return 0
 
 
 def build_parser():
+    """A new parser of the enokit command line; main builds one per
+    process, on its first call."""
     parser = argparse.ArgumentParser(
         prog="enokit",
         description="Adaptive-stencil reconstruction and interpolation with "
@@ -447,10 +470,15 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -154,10 +154,8 @@ class SignReport:
 
     @property
     def counts(self):
-        return {
-            name: sum(1 for v in self.verdicts if v == name)
-            for name in ("SameSign", "Continuous", "VIOLATION")
-        }
+        return {name: self.verdicts.count(name)
+                for name in ("SameSign", "Continuous", "VIOLATION")}
 
 
 def relative_jump(trace):

@@ -6,6 +6,7 @@ Run this file as a script to print the digest of the pinned CLI outputs:
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -14,15 +15,21 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 if __name__ == "__main__":  # a source checkout, run as a script
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import enokit
+import enokit.cli as cli_mod
+from enokit import NonFiniteValue, interface_traces, midpoint_traces
 from enokit.cli import main
+from enokit.numerics import FLOAT
+from enokit.stability import relative_jump
 
 CELLS_STEP = "x_left,x_right,avg\n" + "".join(
     f"{i},{i + 1},{0 if i < 4 else 1}\n" for i in range(8)
@@ -94,6 +101,53 @@ def test_converge_needs_no_numpy():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) == 5
+
+
+def test_import_builds_no_parser():
+    """Importing the front end parses nothing and builds no parser; main
+    builds it on its first call."""
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import enokit.cli\n"
+            "print(len(built), enokit.cli._parser)\n"
+            "enokit.cli.main(['bounds', '--uniform', '--order', '1'])\n"
+            "print(len(built) > 0, enokit.cli._parser is not None)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == ["0 None", "p,bound", "1,1",
+                                          "True True"]
+
+
+def test_reused_parser_keeps_calls_independent(capsys, monkeypatch,
+                                               cells_csv, points_csv):
+    """Calls through one process's main, which reuses its parser, give the
+    exit code, stdout and stderr of a fresh interpreter each: a later call
+    keeps no option of an earlier one, and usage errors and --help leave
+    the parser as it was."""
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width both sides
+    calls = [
+        ("verify", "--input", points_csv, "--kind", "interpolation",
+         "--order", "2"),
+        ("verify", "--input", cells_csv, "--order", "2"),
+        ("verify", "--input", cells_csv, "--order", "x"),
+        ("--help",),
+        ("fuzz", "--workers", "2"),
+        ("fuzz",),
+    ]
+    codes = []
+    for argv in calls:
+        got = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "enokit.cli", *argv],
+                               env=_checkout_env(), capture_output=True,
+                               text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(got[0])
+    assert codes == [0, 0, 2, 0, 0, 0]
 
 
 def test_bounds_uniform_reconstruction(capsys):
@@ -372,6 +426,130 @@ def test_out_of_range_float_scalar_is_a_csv_error(capsys, tmp_path):
                            "--input", str(path), "--order", "1")
         assert code == 2, name
         assert "line 3" in err, name
+
+
+@pytest.mark.parametrize("command", [
+    ("reconstruct", "--backend", "exact"), ("reconstruct", "--backend", "float"),
+    ("verify", "--backend", "exact"), ("verify", "--backend", "float"),
+    ("bounds",),
+    ("interpolate", "--backend", "exact"), ("interpolate", "--backend", "float"),
+    ("verify", "--kind", "interpolation", "--backend", "exact"),
+    ("verify", "--kind", "interpolation", "--backend", "float"),
+    ("bounds", "--kind", "interpolation"),
+], ids=" ".join)
+def test_oversized_field_is_a_csv_error(capsys, tmp_path, command):
+    """A field over the csv module's size limit ends the data rows as a
+    line-numbered fault: exit 2 and one error line, reported after any
+    fault in the rows before it, as a row-by-row read would meet them."""
+    points = "interpolation" in command or command[0] == "interpolate"
+    header, rows = (("x,value", ["0,1", "1,2", "2,3"]) if points else
+                    ("x_left,x_right,avg", ["0,1,1", "1,2,2", "2,3,3"]))
+    huge = "1" * 140_000
+    cases = [
+        ([*rows, f"3,{huge}" if points else f"3,4,{huge}"],
+         "line 5: field larger than field limit (131072)"),
+        ([*rows[:1], "1,x" if points else "1,2,x", *rows[2:],
+          f"3,{huge}" if points else f"3,4,{huge}"],
+         "line 3: column value: unparsable scalar 'x'" if points else
+         "line 3: column avg: unparsable scalar 'x'"),
+        ([*rows[:2], "2", f"3,{huge}"],
+         f"line 4: expected {header.count(',') + 1} columns; got 1"),
+        ([f"{huge},1"], "line 2: field larger than field limit (131072)"),
+    ]
+    path = tmp_path / "big.csv"
+    for lines, message in cases:
+        path.write_text("\n".join((header, *lines)) + "\n")
+        code, out, err = run(capsys, *command, "--input", str(path),
+                             "--order", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    path.write_text(f"{huge},{header}\n")
+    code, _, err = run(capsys, *command, "--input", str(path), "--order", "1")
+    assert (code, err) == (
+        2, "error: line 1: field larger than field limit (131072)\n")
+
+
+def test_csv_files_are_utf8_in_any_locale(tmp_path):
+    """Input is decoded and output encoded as UTF-8 under the C locale too:
+    an Arabic-Indic digit reads as the ASCII one does."""
+    env = _checkout_env()
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    outputs = []
+    for name, three in (("ascii", "3"), ("arabic", "٣")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("x_left,x_right,avg\n" + "".join(
+            f"{i},{i + 1},{three if i == 2 else i % 2}\n" for i in range(6)),
+            encoding="utf-8")
+        out_path = tmp_path / f"{name}_traces.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "enokit.cli", "reconstruct", "--input",
+             str(path), "--order", "2", "--output", str(out_path)],
+            env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, ""), name
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"3" in outputs[0]
+
+
+finite_floats = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_csv_fields(draw):
+    """(order, coordinates, values) of a float field: increasing
+    coordinates and values of one scale, subnormal to 1e300, with repeats
+    (zero data jumps) and -0.0 among them."""
+    p = draw(st.integers(1, 4))
+    count = draw(st.integers(2 * p + 1, 2 * p + 12))
+    widths = draw(st.lists(st.floats(0.5, 2.0), min_size=count,
+                           max_size=count))
+    scale = draw(st.sampled_from((1.0, 5e-324, 1e-310, 1e-300, 1e300)))
+    units = draw(st.lists(
+        st.one_of(st.integers(-3, 3).map(float), finite_floats, st.just(-0.0)),
+        min_size=count, max_size=count))
+    return p, list(accumulate(widths)), [scale * u for u in units]
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_csv_fields())
+def test_float_rows_are_float_serialize_of_every_field(field):
+    """The rows of reconstruct and interpolate --backend float are
+    FLOAT.serialize of every field of the traces of the field read, the
+    ratio that of relative_jump, or CONT."""
+    p, xs, values = field
+    cells = "x_left,x_right,avg\n" + "".join(
+        f"{a!r},{b!r},{v!r}\n" for a, b, v in zip(xs, xs[1:], values))
+    points = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(xs, values))
+    with tempfile.TemporaryDirectory() as directory:
+        for command, text, read, traces_of in (
+                ("reconstruct", cells, cli_mod._read_cells, interface_traces),
+                ("interpolate", points, cli_mod._read_points,
+                 midpoint_traces)):
+            source = os.path.join(directory, f"{command}.csv")
+            target = os.path.join(directory, f"{command}_traces.csv")
+            with open(source, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, "--input", source, "--order", str(p),
+                             "--backend", "float", "--output", target])
+            try:
+                traces = traces_of(read(source, FLOAT), p)
+            except NonFiniteValue as exc:
+                assert (code, err.getvalue()) == (2, f"error: {exc}\n")
+                continue
+            assert code == 0, err.getvalue()
+            with open(target, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            expected = []
+            for t in traces:
+                ratio = relative_jump(t)
+                expected.append([
+                    *map(FLOAT.serialize, (t.location, t.left, t.right,
+                                           t.data_jump)),
+                    "CONT" if ratio is None else FLOAT.serialize(ratio),
+                    str(t.left_signature), str(t.right_signature)])
+            assert rows == expected
 
 
 def test_point_csv_must_increase(capsys, tmp_path):
