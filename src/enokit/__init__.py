@@ -29,8 +29,6 @@ from .grid import (
     CellAverageField,
     Mesh,
     PointValueField,
-    periodic_extension,
-    periodic_extension_points,
     primitive_from_averages,
     uniform_mesh,
 )
@@ -51,12 +49,10 @@ from .numerics import (
     get_backend,
 )
 from .stability import (
-    BoundTable,
     InterfaceTrace,
     SignReport,
     TraceBatch,
     bound_Cp,
-    bound_constants_recursive,
     bound_cp,
     position_bounds,
     relative_jump,
@@ -90,8 +86,6 @@ __all__ = [
     "CellAverageField",
     "Mesh",
     "PointValueField",
-    "periodic_extension",
-    "periodic_extension_points",
     "primitive_from_averages",
     "uniform_mesh",
     "FuzzConfig",
@@ -106,12 +100,10 @@ __all__ = [
     "DividedDifferenceTable",
     "divided_difference_table",
     "get_backend",
-    "BoundTable",
     "InterfaceTrace",
     "SignReport",
     "TraceBatch",
     "bound_Cp",
-    "bound_constants_recursive",
     "bound_cp",
     "position_bounds",
     "relative_jump",

@@ -14,7 +14,9 @@ text is the previous row's x_right, and the row checks then run over the
 parsed columns. The fault reported is the first in file order, the one
 a row-by-row read would meet; a row the csv module cannot read (a field
 over its size limit) is such a fault, after the rows read before it.
-Files are read and written as UTF-8, whatever the locale.
+Faults name the line a row starts on in the file, which a quoted newline
+puts past the row's count. Files are read and written as UTF-8, whatever
+the locale; a byte that is not UTF-8 is a fault of its line.
 
 Trace rows are serialized column by column: a float batch's columns
 each in one repr pass, which gives FloatBackend.serialize's bytes. main
@@ -74,19 +76,33 @@ _SCALAR_ERRORS = (ValueError, ZeroDivisionError, TypeError, OverflowError)
 def _text_columns(path, header):
     """The data rows of a CSV as text columns, one per header name.
 
-    Returns (lines, columns, fault): the 1-based line of each data row,
-    the columns, and the _CsvError that ends the data rows, or None: that
-    of the first row with another column count, or of the row the csv
-    module could not read. Blank lines are skipped.
+    Returns (lines, columns, fault): the 1-based line each data row starts
+    on, which a quoted newline puts past the row count, the columns, and
+    the _CsvError that ends the data rows, or None: that of the first row
+    with another column count, or of the row the csv module could not
+    read. Blank lines are skipped. A byte that is not UTF-8 is a fault of
+    its line before any row is read.
     """
     rows = []
+    starts = [1]  # starts[k]: the line that record k starts on
     fault = None
     try:
         with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                rows.extend(csv.reader(handle))  # keeps the rows before a fault
+                for row in reader:  # keeps the rows before a fault
+                    rows.append(row)
+                    starts.append(reader.line_num + 1)
             except csv.Error as exc:
-                fault = _CsvError(len(rows) + 1, str(exc))
+                fault = _CsvError(starts[-1], str(exc))
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:  # the reader decodes by chunks
+            raw = handle.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _CsvError(raw.count(b"\n", 0, exc.start) + 1,
+                            f"not UTF-8 (byte 0x{raw[exc.start]:02x})")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     if not rows:
@@ -97,10 +113,10 @@ def _text_columns(path, header):
             1, f"expected header {','.join(header)}; got {','.join(rows[0])}")
     data = rows[1:]
     if data and not fault and set(map(len, data)) == {len(header)}:
-        return range(2, len(rows) + 1), list(zip(*data)), None
+        return starts[1:-1], list(zip(*data)), None
     lines = []
     kept = []
-    for line, row in enumerate(data, start=2):
+    for line, row in zip(starts[1:], data):
         if len(row) != len(header):
             if not row:
                 continue

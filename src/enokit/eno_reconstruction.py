@@ -14,7 +14,7 @@ stages of the order-(p+1) ones, so that stage-wise state is kept on the
 divided-difference table and a higher order resumes it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from operator import add, mul, sub
 
@@ -34,8 +34,7 @@ from .numerics import (
 from .stability import TraceBatch
 
 
-@dataclass(frozen=True)
-class StencilSignature:
+class StencilSignature(namedtuple("StencilSignature", "offsets")):
     """Stagewise stencil offsets chosen for one anchor.
 
     The anchor is a cell's left interface in reconstruction and a node in
@@ -45,11 +44,10 @@ class StencilSignature:
     either keeps the stencil or extends it one point to the left.
     """
 
-    offsets: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        offsets = tuple(self.offsets)
-        object.__setattr__(self, "offsets", offsets)
+    def __new__(cls, offsets):
+        offsets = tuple(offsets)
         if not offsets:
             raise ValueError("a signature needs at least one offset")
         if offsets[0] != 0:
@@ -59,6 +57,7 @@ class StencilSignature:
                 raise ValueError(
                     "each stage may keep its stencil or extend it one point left"
                 )
+        return super().__new__(cls, offsets)
 
     @property
     def order(self):
@@ -326,8 +325,7 @@ def _traces(coords, data, p, table, shift):
     )
 
 
-@dataclass(frozen=True)
-class NewtonPolynomial:
+class NewtonPolynomial(namedtuple("NewtonPolynomial", "points coefficients")):
     """Interpolating polynomial in Newton form, points in appearance order.
 
     coefficients[j] is the divided difference of the ordinates over
@@ -335,18 +333,16 @@ class NewtonPolynomial:
     every stored point regardless of the order in which they appeared.
     """
 
-    points: tuple
-    coefficients: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if not self.points:
+    def __new__(cls, points, coefficients):
+        points, coefficients = tuple(points), tuple(coefficients)
+        if not points:
             raise ValueError("a polynomial needs at least one point")
-        if len(self.points) != len(self.coefficients):
+        if len(points) != len(coefficients):
             raise ValueError(
-                f"{len(self.points)} points but {len(self.coefficients)} coefficients"
-            )
+                f"{len(points)} points but {len(coefficients)} coefficients")
+        return super().__new__(cls, points, coefficients)
 
     @property
     def degree(self):
@@ -376,12 +372,10 @@ class NewtonPolynomial:
         return total
 
 
-@dataclass(frozen=True)
-class CellPolynomial:
+class CellPolynomial(namedtuple("CellPolynomial", "cell antiderivative")):
     """In-cell polynomial: derivative of the running-integral interpolant."""
 
-    cell: int
-    antiderivative: NewtonPolynomial
+    __slots__ = ()
 
     @property
     def order(self):

@@ -110,59 +110,3 @@ def primitive_from_averages(field, base=0):
     primitive.averages = avgs
     return primitive
 
-
-# ---- Periodic extension ----
-
-def _periodic_coordinates(coords, pad):
-    """coords with pad gaps wrapped onto each side, the gaps repeating with
-    period len(coords) - 1, stepping back from coords[0] and accumulating."""
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0; got {pad}")
-    n = len(coords) - 1
-    if n < 1:
-        raise ShapeError(
-            f"a periodic extension needs at least 2 nodes; have {n + 1}")
-    gaps = [coords[i + 1] - coords[i] for i in range(n)]
-    wrapped = [gaps[i % n] for i in range(-pad, n + pad)]
-    x0 = coords[0]
-    for g in reversed(wrapped[:pad]):
-        x0 = x0 - g
-    extended = [x0]
-    for g in wrapped:
-        extended.append(extended[-1] + g)
-    return extended
-
-
-def periodic_extension(field, pad):
-    """Extend a cell-average field by wrapping pad cells onto each side.
-
-    Convenience for exercising interior-only operations on periodic data;
-    no extrapolation is ever fabricated.
-
-    Raises:
-        ValueError: pad < 0.
-    """
-    interfaces = _periodic_coordinates(field.mesh.interfaces, pad)
-    n = field.mesh.ncells
-    return CellAverageField(Mesh(interfaces), [
-        field.averages[i % n] for i in range(-pad, n + pad)])
-
-
-def periodic_extension_points(field, pad):
-    """Extend a point-value field by wrapping pad nodes onto each side.
-
-    The node pattern repeats with index period n-1 (the last node plays the
-    role of the first, one period later), so padded values wrap with that
-    period while the original samples are kept verbatim.
-
-    Raises:
-        ValueError: pad < 0.
-        ShapeError: fewer than two nodes, which leave no period.
-    """
-    nodes = _periodic_coordinates(field.nodes, pad)
-    n = len(field.nodes)
-    values = [
-        field.values[i] if 0 <= i < n else field.values[i % (n - 1)]
-        for i in range(-pad, n + pad)
-    ]
-    return PointValueField(nodes, values)

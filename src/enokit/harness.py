@@ -10,7 +10,7 @@ makes serial and parallel runs byte-identical.
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .eno_interpolation import midpoint_traces
@@ -216,22 +216,18 @@ def _within(ratios, nums, dens, slack=None):
 
 # ---- Fuzzing ----
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(namedtuple(
+        "FuzzConfig", ("seed", "trials", "cells", "orders", "width_low",
+                       "width_high", "backend", "distribution", "kind"),
+        defaults=(0, 100, 30, (1, 2, 3, 4, 5, 6), 0.5, 2.0, "exact", "mixed",
+                  "reconstruction"))):
     """Reproducible description of one fuzz corpus."""
 
-    seed: int = 0
-    trials: int = 100
-    cells: int = 30
-    orders: tuple = (1, 2, 3, 4, 5, 6)
-    width_low: float = 0.5
-    width_high: float = 2.0
-    backend: str = "exact"
-    distribution: str = "mixed"
-    kind: str = "reconstruction"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self = self._replace(orders=tuple(self.orders))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.cells < 2:
@@ -255,22 +251,16 @@ class FuzzConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.kind not in ("reconstruction", "interpolation"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(namedtuple("FuzzReport", (
+        "config", "trials_run", "interfaces_checked", "violations",
+        "bound_exceedances", "oracle_mismatches", "max_ratio_per_order",
+        "bound_per_order", "worst_witness", "violation_witnesses"))):
     """Aggregated outcome of a fuzz corpus; all counters order-independent."""
 
-    config: FuzzConfig
-    trials_run: int
-    interfaces_checked: int
-    violations: int
-    bound_exceedances: int
-    oracle_mismatches: int
-    max_ratio_per_order: dict
-    bound_per_order: dict
-    worst_witness: object
-    violation_witnesses: tuple
+    __slots__ = ()
 
     def to_json(self):
         """Canonical JSON with stable key order."""
@@ -456,8 +446,7 @@ def fuzz_sign_property(config, workers=1):
 
 # ---- Convergence ----
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(namedtuple("RateTable", "orders resolutions errors rates")):
     """L-infinity trace errors per order and resolution, with fitted rates.
 
     errors[i][j] is the max interface-trace error at orders[i] on
@@ -465,10 +454,7 @@ class RateTable:
     row against resolution.
     """
 
-    orders: tuple
-    resolutions: tuple
-    errors: tuple
-    rates: tuple
+    __slots__ = ()
 
 
 def convergence_study(sampler, orders, resolutions, domain=(0.0, 1.0)):

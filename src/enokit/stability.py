@@ -9,7 +9,9 @@ trace path.
 
 Bound constants are always computed in exact rationals, even when the trace
 data is binary64; comparing a measured jump ratio against a bound must not
-be polluted by round-off in the bound itself.
+be polluted by round-off in the bound itself. The tests judge the bounds
+against a reference that builds each position's constants by their
+recursion, in rationals (bound_constants_recursive in tests/conftest.py).
 
 The oracle and the jump bound read the same window products at a
 breakpoint. `_window_pass` builds them once per breakpoint, in O(p) on the
@@ -20,7 +22,7 @@ harness.check_orders both run on it.
 """
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import factorial
 
@@ -43,8 +45,9 @@ FLOAT_SIGN_TOL = 1e-12
 
 # ---- Trace records ----
 
-@dataclass(frozen=True)
-class InterfaceTrace:
+class InterfaceTrace(namedtuple("InterfaceTrace", (
+        "index", "location", "left", "right", "data_jump", "left_signature",
+        "right_signature"))):
     """One-sided limits of a piecewise reconstruction at one breakpoint.
 
     The breakpoint is a mesh interface for reconstruction from averages and
@@ -54,20 +57,13 @@ class InterfaceTrace:
     whose sign the trace jump may never oppose.
     """
 
-    index: int
-    location: object
-    left: object
-    right: object
-    data_jump: object
-    left_signature: object
-    right_signature: object
+    __slots__ = ()
 
     @property
     def jump(self):
         return self.right - self.left
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TraceBatch:
     """Traces at consecutive breakpoints, held as columns.
 
@@ -80,17 +76,22 @@ class TraceBatch:
     picks the verdict rule of sign_report. `jumps`, the column
     right - left, is built once, on first read. The signature columns
     of interface_traces and midpoint_traces are derived together when
-    either is first read, so sign_report builds no signature.
+    either is first read, so sign_report builds no signature. No
+    attribute can be assigned or deleted.
     """
 
-    index: object
-    location: object
-    left: object
-    right: object
-    data_jump: object
-    left_signatures: object
-    right_signatures: object
-    approximate: bool
+    def __init__(self, index, location, left, right, data_jump,
+                 left_signatures, right_signatures, approximate):
+        vars(self).update(
+            index=index, location=location, left=left, right=right,
+            data_jump=data_jump, left_signatures=left_signatures,
+            right_signatures=right_signatures, approximate=approximate)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def jumps(self):
@@ -143,14 +144,11 @@ def trace_columns(traces):
     )
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(namedtuple("SignReport",
+                            "verdicts ratios violations max_ratio")):
     """Per-breakpoint verdicts plus aggregate counters."""
 
-    verdicts: tuple
-    ratios: tuple
-    violations: int
-    max_ratio: object
+    __slots__ = ()
 
     @property
     def counts(self):
@@ -218,8 +216,18 @@ def sign_report(traces):
 
 # ---- Telescoped jump oracles ----
 
-def _offsets(signature):
-    return tuple(getattr(signature, "offsets", signature))
+def _summed_windows(left_anchor, left_signature, right_signature):
+    """(lo, hi, sign): the starts lo..hi of the windows the telescoped jump
+    sums over at the breakpoint right of left_anchor, those between the
+    starts of the two final stencils, and the sign of the sum: -1, with
+    the range turned round, when the right stencil starts left of the left
+    one. lo > hi for no window. A signature is a StencilSignature or its
+    offsets."""
+    lo = left_anchor + getattr(left_signature, "offsets", left_signature)[-1]
+    hi = left_anchor + getattr(right_signature, "offsets", right_signature)[-1]
+    if lo > hi + 1:
+        return hi + 1, lo - 1, -1
+    return lo, hi, 1
 
 
 def _breakpoint(X, left_anchor, shift):
@@ -317,11 +325,7 @@ def _window_pass(X, rows, p, shift, positions, level=None, traces=None):
         if signatures is None:
             continue
         left_signature, right_signature, jump = signatures
-        lo = left + getattr(left_signature, "offsets", left_signature)[-1]
-        hi = left + getattr(right_signature, "offsets", right_signature)[-1]
-        sign = 1
-        if lo > hi + 1:
-            lo, hi, sign = hi + 1, lo - 1, -1
+        lo, hi, sign = _summed_windows(left, left_signature, right_signature)
         num, den = 0, 1
         if lo <= hi:
             if lo < first or hi > left:
@@ -355,11 +359,8 @@ def _telescoped_terms(source, table, left_signatures, right_signatures,
     for left_signature, right_signature, index in zip(
             left_signatures, right_signatures, indices):
         left_anchor = index - shift
-        lo = left_anchor + _offsets(left_signature)[-1]
-        hi = left_anchor + _offsets(right_signature)[-1]
-        sign = 1
-        if lo > hi + 1:
-            lo, hi, sign = hi + 1, lo - 1, -1
+        lo, hi, sign = _summed_windows(left_anchor, left_signature,
+                                       right_signature)
         if lo > hi:
             yield []
             continue
@@ -441,24 +442,6 @@ def telescoped_jump_interpolation(field, left_signature, right_signature,
 
 # ---- Bound constants ----
 
-@dataclass(frozen=True)
-class BoundTable:
-    """Per-offset constants and the aggregated jump bound at one position.
-
-    `constants` holds the order-`order` constants for the offsets
-    -order+1..0, leftmost first; `bound` is the aggregated relative-jump
-    bound at `position` (an interface index for reconstruction, the left
-    node index of a midpoint for interpolation). All entries are exact
-    rationals.
-    """
-
-    kind: str
-    order: int
-    position: int
-    constants: tuple
-    bound: object
-
-
 def _coordinates(mesh):
     if hasattr(mesh, "interfaces"):
         return mesh.interfaces
@@ -478,34 +461,20 @@ def _kind_shift(kind):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _recursive_constants(X, anchor, p, shift):
-    """Constant triangle around `anchor`; stage-1 entries are all 1.
-
-    The stage-(j+1) denominator of offset k spans X[anchor+k-shift] to
-    X[anchor+k+j+1]: one extra gap to the left for shift = CELL.
-    """
-    two = EXACT.convert(2)
-    C = {(k, 1): EXACT.convert(1) for k in range(-p + 1, p)}
-    for j in range(1, p):
-        for k in range(-p + 1, p - j):
-            den = X[anchor + k + j + 1] - X[anchor + k - shift]
-            C[(k, j + 1)] = two / den * max(C[(k, j)], C[(k + 1, j)])
-    return C
-
-
 def _stage_rows(X, pmax, shift):
     """Stage constants of every window on integer coordinates, up to stage
     `pmax` or the largest order whose window fits X, whichever is lower,
     as integer denominators.
 
-    The entries of `_recursive_constants` depend only on the absolute
-    start s = anchor + k and the stage j, so one table serves every
-    position and every order up to `pmax`. The stage-j constant of start
-    s is 2**(j-1) / rows[j][s], with rows[1][s] = 1 and
+    The stage-1 constants are 1, and the stage-(j+1) constant of the
+    window that starts at s is 2 / (X[s+j+1] - X[s-shift]) times the
+    larger stage-j constant of the windows that start at s and s+1. It
+    depends only on s and j, so one table serves every position and every
+    order up to `pmax`. The stage-j constant of start s is
+    2**(j-1) / rows[j][s], with rows[1][s] = 1 and
     rows[j+1][s] = (X[s+j+1] - X[s-shift]) * min(rows[j][s], rows[j][s+1])
-    for shift = CELL or NODE, which is the recursion 2 / den * max(...) of
-    `_recursive_constants` with no rational made. Entries whose window
-    leaves the coordinates are None. An order p fits when its 2p + shift
+    for shift = CELL or NODE: that recursion with no rational made. Entries
+    whose window leaves the coordinates are None. An order p fits when its 2p + shift
     points do, so stages above (len(X) - shift) // 2 serve no position.
     """
     rows = [None, [1] * len(X)]
@@ -516,66 +485,6 @@ def _stage_rows(X, pmax, shift):
             row[s] = (X[s + j + 1] - X[s - shift]) * min(prev[s], prev[s + 1])
         rows.append(row)
     return rows
-
-
-def _bound_factors(X, position, p, shift):
-    """Geometric factors of the order-p jump bound at `position`, and their
-    divisor X[position+1] - X[position-shift].
-
-    The factor of offset k = -p+1..0 is the absolute window product of the
-    telescoped oracle for the window of width p+shift that starts at
-    position - shift + k, at the position's breakpoint. Ints on int
-    coordinates whose node midpoints are ints.
-    """
-    left = position - shift
-    x, skip = _breakpoint(X, left, shift)
-    products = _window_products(X, x, skip, p + shift,
-                                range(left - p + 1, left + 1))
-    return list(map(abs, products)), X[position + 1] - X[left]
-
-
-def bound_constants_recursive(mesh, p, kind="reconstruction", position=None):
-    """Recursive jump-bound constants anchored at one mesh position.
-
-    Builds the constant triangle around the one position from scratch, so
-    it is the per-position reference for `position_bounds`.
-
-    Args:
-        mesh: Mesh, point-value field, or plain coordinate sequence.
-        p: order, >= 1.
-        kind: "reconstruction" or "interpolation".
-        position: interface index (reconstruction) or left node index of
-            the midpoint (interpolation); defaults to the middle of the
-            admissible range.
-
-    Returns:
-        BoundTable; all scalars exact rationals regardless of input type.
-
-    Raises:
-        StencilOutOfRange: the position's window leaves the coordinates.
-    """
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    shift = _kind_shift(kind)
-    X = [EXACT.convert(x) for x in _coordinates(mesh)]
-    lo, hi = p - 1 + shift, len(X) - 1 - p
-    if lo > hi:
-        raise StencilOutOfRange(
-            f"no order-{p} {kind} window fits on {len(X)} coordinates"
-        )
-    if position is None:
-        position = (lo + hi) // 2
-    if not lo <= position <= hi:
-        raise StencilOutOfRange(
-            f"position {position} outside the admissible range {lo}..{hi}"
-        )
-    C = _recursive_constants(X, position, p, shift)
-    constants = tuple(C[(k, p)] for k in range(-p + 1, 1))
-    factors, divisor = _bound_factors(X, position, p, shift)
-    total = EXACT.convert(0)
-    for c, f in zip(constants, factors):
-        total = total + c * f
-    return BoundTable(kind, p, position, constants, total / divisor)
 
 
 def position_bounds(mesh, orders, kind="reconstruction"):

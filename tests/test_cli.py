@@ -490,6 +490,56 @@ def test_csv_files_are_utf8_in_any_locale(tmp_path):
     assert b"3" in outputs[0]
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "interpolate"])
+def test_csv_faults_name_the_line_after_a_quoted_newline(capsys, tmp_path,
+                                                         command):
+    """A quoted field that holds a newline spans two lines, so a later
+    fault is reported on the line it is on: an unparsable scalar, a short
+    row, and a field the csv module cannot read; a row whose quoted
+    newline ends it parses as it would without one."""
+    points = command == "interpolate"
+    header, quoted, good, name = (
+        ("x,value", '0,"1\n"', "1,2", "value") if points else
+        ("x_left,x_right,avg", '0,1,"1\n"', "1,2,2", "avg"))
+    bad = "1,x" if points else "1,2,x"
+    huge = ("2," if points else "2,3,") + "1" * 140_000
+    columns = header.count(",") + 1
+    cases = [
+        ([quoted, bad], f"line 4: column {name}: unparsable scalar 'x'"),
+        ([quoted, good, "2"], f"line 5: expected {columns} columns; got 1"),
+        ([quoted, good, huge],
+         "line 5: field larger than field limit (131072)"),
+        ([quoted, quoted.replace("0", "1", 1).replace(",1,", ",2,"), bad],
+         f"line 6: column {name}: unparsable scalar 'x'"),
+    ]
+    path = tmp_path / "quoted.csv"
+    for rows, message in cases:
+        path.write_text("\n".join((header, *rows)) + "\n")
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--order", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    path.write_text("\n".join((header, quoted, good)) + "\n")
+    code, out, err = run(capsys, command, "--input", str(path), "--order", "1")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "interpolate"])
+def test_a_byte_that_is_not_utf8_names_its_line(capsys, tmp_path, command):
+    """A byte that is not UTF-8 exits 2 with the line it is on, counted
+    from the start of the file, also past the text reader's first chunk."""
+    header = "x,value\n" if command == "interpolate" else "x_left,x_right,avg\n"
+    row = "{0},1\n" if command == "interpolate" else "{0},{1},1\n"
+    path = tmp_path / "latin1.csv"
+    for count in (1, 3000):
+        text = header + "".join(row.format(i, i + 1) for i in range(count))
+        path.write_bytes(text.encode() + b"9,\xff\n")
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--order", "1")
+        assert (code, out, err) == (
+            2, "", f"error: line {count + 2}: not UTF-8 (byte 0xff)\n")
+
+
 finite_floats = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 
 

@@ -1,4 +1,4 @@
-"""Meshes, fields, primitives, and periodic padding."""
+"""Meshes, fields, and primitives."""
 
 import random
 from fractions import Fraction
@@ -13,8 +13,6 @@ from enokit import (
     NonFiniteValue,
     PointValueField,
     ShapeError,
-    periodic_extension,
-    periodic_extension_points,
     primitive_from_averages,
     uniform_mesh,
 )
@@ -130,42 +128,3 @@ def test_primitive_base_shift_property(seed):
         b - a == Fraction(5, 3) for a, b in zip(low.values, high.values)
     )
 
-
-def test_periodic_extension_cells():
-    field = CellAverageField(Mesh([0, 1, 3, 4]), [10, 20, 30])
-    padded = periodic_extension(field, 2)
-    assert padded.averages == (20, 30, 10, 20, 30, 10, 20)
-    widths = [
-        padded.mesh.interfaces[i + 1] - padded.mesh.interfaces[i]
-        for i in range(padded.mesh.ncells)
-    ]
-    assert widths == [2, 1, 1, 2, 1, 1, 2]
-
-
-def test_periodic_extension_points():
-    field = PointValueField([0, 1, 3, 4], [5, 6, 7, 5])
-    padded = periodic_extension_points(field, 2)
-    assert padded.values == (6, 7, 5, 6, 7, 5, 6, 7)
-    gaps = [
-        padded.nodes[i + 1] - padded.nodes[i]
-        for i in range(len(padded.nodes) - 1)
-    ]
-    assert gaps == [2, 1, 1, 2, 1, 1, 2]
-
-
-def test_periodic_extension_wraps_past_one_period():
-    field = CellAverageField(Mesh([0, 1, 2]), [1, 2])
-    padded = periodic_extension(field, 3)
-    assert padded.averages == (2, 1, 2, 1, 2, 1, 2, 1)
-
-
-def test_periodic_extensions_reject_bad_pads():
-    cells = CellAverageField(uniform_mesh(12), list(range(12)))
-    with pytest.raises(ValueError, match="pad"):
-        periodic_extension(cells, -2)
-    points = PointValueField([0, 1, 3, 4], [5, 6, 7, 5])
-    with pytest.raises(ValueError, match="pad"):
-        periodic_extension_points(points, -1)
-    with pytest.raises(ShapeError):
-        periodic_extension_points(PointValueField([2], [7]), 1)
-    assert periodic_extension(cells, 0).averages == cells.averages

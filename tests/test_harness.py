@@ -17,7 +17,6 @@ from enokit import (
     fuzz_sign_property,
     Mesh,
     PointValueField,
-    bound_constants_recursive,
     interface_traces,
     midpoint_traces,
     primitive_from_averages,
@@ -29,7 +28,13 @@ from enokit import (
 from enokit.harness import _trial_inputs, check_orders
 from enokit.numerics import ExactBackend, _gmpy2, build_table, field_table
 
-from conftest import _lagrange_value, random_fraction_mesh, random_int_values
+from conftest import (
+    _lagrange_value,
+    bound_constants_recursive,
+    random_fraction_mesh,
+    random_int_values,
+    with_columns,
+)
 
 
 def test_worst_case_structure():
@@ -424,8 +429,6 @@ def _plant_failures(monkeypatch):
     and every 7th telescoped jump off by 1. The window pass judges the
     oracle of exact batches on grid tables, so there the jump it compares
     with is off by 1 instead; telescoped_jumps gives the others'."""
-    from dataclasses import replace
-
     import enokit.harness as harness_mod
     from enokit import SignReport
 
@@ -442,7 +445,7 @@ def _plant_failures(monkeypatch):
 
     def window_pass(X, rows, p, shift, positions, level=None, traces=None):
         if traces is not None:
-            traces = replace(traces, right=[
+            traces = with_columns(traces, right=[
                 right - 1 if i % 7 == 0 else right
                 for i, right in enumerate(traces.right)])
         nums, dens, agrees = real_pass(X, rows, p, shift, positions, level,

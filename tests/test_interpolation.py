@@ -297,13 +297,13 @@ def test_trace_batches_build_no_per_breakpoint_objects(monkeypatch):
     one signature per distinct offset tuple."""
     built = Counter()
     for cls in (InterfaceTrace, StencilSignature):
-        init = cls.__init__
+        new = cls.__new__
 
-        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+        def counting(cls, *args, _new=new, _name=cls.__name__, **kwargs):
             built[_name] += 1
-            _init(self, *args, **kwargs)
+            return _new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(cls, "__new__", counting)
     rng = random.Random(512)
     xs = [0.0]
     for _ in range(512):

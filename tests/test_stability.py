@@ -18,7 +18,6 @@ from enokit import (
     NonFiniteValue,
     PointValueField,
     StencilOutOfRange,
-    bound_constants_recursive,
     bound_Cp,
     bound_cp,
     interface_traces,
@@ -42,7 +41,13 @@ from enokit.stability import (
     trace_columns,
 )
 
-from conftest import _lagrange_value, random_fraction_mesh, random_int_values
+from conftest import (
+    _lagrange_value,
+    bound_constants_recursive,
+    random_fraction_mesh,
+    random_int_values,
+    with_columns,
+)
 
 T1 = [1, 2, Fraction(10, 3), Fraction(16, 3), Fraction(128, 15),
       Fraction(208, 15)]
@@ -372,7 +377,6 @@ def test_columnar_oracle_equals_the_per_breakpoint_oracle(kind, scalar):
     bit in floats (repr keeps the type and the sign of a zero). Hand-made
     plain-tuple signatures reach the reversed and the empty sum; on zero
     data a reversed sum of -0.0 terms is +0.0."""
-    from dataclasses import replace
     from functools import reduce
     from operator import add
 
@@ -404,7 +408,7 @@ def test_columnar_oracle_equals_the_per_breakpoint_oracle(kind, scalar):
             for p in range(1, 7):
                 batch = traces_of(field, p, table=table)
                 tuples = _all_offset_tuples(p)
-                crafted = replace(
+                crafted = with_columns(
                     batch,
                     left_signatures=[rng.choice(tuples) for _ in batch.index],
                     right_signatures=[rng.choice(tuples) for _ in batch.index])
@@ -481,8 +485,6 @@ def test_window_pass_equals_the_oracle_and_position_bounds(kind):
     the oracle and without it, on the grid_integers that the table and
     position_bounds share. Signatures of the next order, whose windows
     the bound does not read, raise ValueError."""
-    from dataclasses import replace
-
     from enokit.numerics import CELL, NODE, build_table, grid_integers, \
         quotient
     from enokit.stability import (
@@ -518,13 +520,13 @@ def test_window_pass_equals_the_oracle_and_position_bounds(kind):
             tuples = _all_offset_tuples(p)
             signatures = [(rng.choice(tuples), rng.choice(tuples))
                           for _ in batch.index]
-            crafted = replace(batch,
-                              left_signatures=[s[0] for s in signatures],
-                              right_signatures=[s[1] for s in signatures])
+            crafted = with_columns(
+                batch, left_signatures=[s[0] for s in signatures],
+                right_signatures=[s[1] for s in signatures])
             telescoped = telescoped_jumps(table, crafted, p, shift)
             # The crafted signatures with jumps equal to their telescoped
             # sums, so that every agreement is True.
-            matched = replace(crafted, right=list(map(
+            matched = with_columns(crafted, right=list(map(
                 operator.add, crafted.left, telescoped)))
             for traces in (batch, crafted, matched):
                 nums, dens, agrees = _window_pass(
@@ -547,7 +549,8 @@ def test_window_pass_equals_the_oracle_and_position_bounds(kind):
             assert list(map(quotient, nums, dens)) == \
                 [on_coords[p][i] for i in batch.index]
             wider = tuple(range(0, -p - 1, -1))
-            further = replace(batch, left_signatures=[wider] * len(batch))
+            further = with_columns(batch,
+                                   left_signatures=[wider] * len(batch))
             with pytest.raises(ValueError, match="outside"):
                 _window_pass(X, rows, p, shift, further.index,
                              table.levels[p + shift], further)
