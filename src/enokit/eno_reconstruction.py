@@ -22,13 +22,11 @@ from .errors import ShapeError, StencilOutOfRange
 from .numerics import (
     CELL,
     NODE,
+    _own_type,
     build_table,
     check_depth,
     check_finite_column,
     field_table,
-    float_entry,
-    is_float_data,
-    promote_integers,
     quotient,
 )
 from .stability import TraceBatch
@@ -203,7 +201,7 @@ class _Stages:
         X = table.points
         n = len(X) - shift
         self.at = _breakpoints(X, shift)
-        self.location = (_breakpoints(promote_integers(coords), shift)
+        self.location = (_breakpoints(_own_type(coords), shift)
                          if type(X[0]) is int else self.at)
         first = table.levels[shift]
         self.lefts = [list(range(n))]
@@ -284,9 +282,11 @@ def _stages(table, coords, p, shift):
 
 def _traces(coords, data, p, table, shift):
     """Order-p TraceBatch of data of level `shift` over coords: the body
-    of interface_traces (CELL) and midpoint_traces (NODE). A float table
-    makes the batch approximate, its data jumps taken from the table's
-    level `shift`. Float traces or data jumps that overflow to NaN or
+    of interface_traces (CELL) and midpoint_traces (NODE). The batch is
+    approximate when the table is. An approximate batch takes its data
+    jumps from the table's level `shift`, an exact one from the data, its
+    ints kept and every other scalar of the exact backend's type
+    (_own_type). Float traces or data jumps that overflow to NaN or
     +-inf raise NonFiniteValue. The signatures are derived when a caller
     first reads one."""
     if p < 1:
@@ -302,9 +302,8 @@ def _traces(coords, data, p, table, shift):
         raise ShapeError(
             f"a table over {len(table.points)} points for data over "
             f"{len(coords)}")
-    level = table.levels[shift]
-    approximate = is_float_data(level[:1])
-    data = level if approximate else float_entry(coords, data)[1]
+    approximate = table.approximate
+    data = table.levels[shift] if approximate else _own_type(data, int)
     state = _stages(table, coords, p, shift)
     shared = [state.lefts]
     left, right = state.sums
@@ -391,14 +390,14 @@ def _newton_form(table, coords, anchor, offsets, shift, constant):
     `constant` is the level-0 coefficient, at the anchor.
 
     The table's points on the stencil must be the field's `coords` there,
-    or their floats in a float table; a table in other units, such as one
-    on grid_integers, raises ShapeError.
+    or their floats in an approximate table; a table in other units, such
+    as one on grid_integers, raises ShapeError.
     """
     X = table.points
     levels = table.levels
     lo = anchor + offsets[-1]
     for k in range(lo, lo + len(offsets) + shift):
-        if X[k] != (float(coords[k]) if type(X[k]) is float else coords[k]):
+        if X[k] != (float(coords[k]) if table.approximate else coords[k]):
             raise ShapeError(
                 f"the table's point {k} is {X[k]!r}, not the field's "
                 f"coordinate {coords[k]!r}; build it with field_table")

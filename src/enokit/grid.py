@@ -10,12 +10,7 @@ averages it carries.
 """
 
 from .errors import InvalidMesh, ShapeError
-from .numerics import (
-    check_finite,
-    check_increasing,
-    is_float_data,
-    promote_integers,
-)
+from .numerics import check_finite, check_increasing, float_entry
 
 
 class Mesh:
@@ -40,11 +35,6 @@ class Mesh:
     def width(self, i):
         """Width of cell i."""
         return self.interfaces[i + 1] - self.interfaces[i]
-
-    def mesh_ratio(self, i):
-        """Width ratio of cell i+1 to cell i."""
-        widths = promote_integers([self.width(i + 1), self.width(i)])
-        return widths[0] / widths[1]
 
 
 def uniform_mesh(ncells, start=0, width=1):
@@ -94,19 +84,16 @@ def primitive_from_averages(field, base=0):
         PointValueField on the interfaces with values[0] == base and
         values[j+1] == values[j] + width(j) * averages[j], summed left to
         right, all in float when the mesh, the averages or base holds a
-        float. Its `averages` are the averages summed, in the same
-        scalars: the per-cell API and the oracle build their table from
-        them.
+        float (numerics.float_entry), else in the scalars given. Its
+        `averages`, a tuple, are the averages summed, in the same scalars:
+        the per-cell API and the oracle build their table from them.
     """
-    X = field.mesh.interfaces
-    avgs = field.averages
-    if is_float_data(avgs) or is_float_data(X) or isinstance(base, float):
-        X, avgs = tuple(map(float, X)), tuple(map(float, avgs))
-        base = float(base)
+    _, X, avgs, (base,) = float_entry(
+        field.mesh.interfaces, field.averages, (base,))
     values = [base]
     for i in range(len(avgs)):
         values.append(values[-1] + (X[i + 1] - X[i]) * avgs[i])
     primitive = PointValueField(X, values)
-    primitive.averages = avgs
+    primitive.averages = tuple(avgs)
     return primitive
 

@@ -25,7 +25,6 @@ from .numerics import (
     build_table,
     get_backend,
     grid_integers,
-    is_float_data,
     quotient,
 )
 from .stability import (
@@ -154,7 +153,7 @@ def check_orders(field, orders):
     # An exact table is on grid_integers; a float one gives the bounds its
     # points' exact grid_integers.
     X = table.points
-    if is_float_data(X[:1]):
+    if table.approximate:
         X = grid_integers(X)
     rows = _stage_rows(X, max(orders), shift)
     slack = 1 + EXACT.convert(ORACLE_FLOAT_TOL)
@@ -312,7 +311,9 @@ def _trial_values(rng, count, distribution):
 
 
 def _trial_inputs(config, trial):
-    """Coordinates and data values of one trial, in exact scalars."""
+    """Coordinates and data values of one trial, in the config's backend:
+    exact scalars, or their floats. A trial draws its inputs here, and the
+    report replays the draw for its worst witness."""
     rng = random.Random(f"{config.seed}:{trial}")
     lo, hi = _width_ticks(config)
     coords = [EXACT.convert(0)]
@@ -320,34 +321,33 @@ def _trial_inputs(config, trial):
         width = EXACT.convert(rng.randint(lo, hi)) / WIDTH_DENOMINATOR
         coords.append(coords[-1] + width)
     count = config.cells if config.kind == "reconstruction" else config.cells + 1
-    return coords, _trial_values(rng, count, config.distribution)
+    values = _trial_values(rng, count, config.distribution)
+    if config.backend == "float":
+        return [float(x) for x in coords], [float(v) for v in values]
+    return coords, values
 
 
 def _run_fuzz_trial(config, trial):
     """Evaluate one trial; returns a picklable tuple of plain values.
 
-    (counts, max_ratio, bound, best, inputs, witnesses): the interface,
-    violation, bound-exceedance and oracle-mismatch counts, read off the
-    check loop's columns as `enokit verify` reads them; each fitting
-    order's largest ratio (None if no data jump is nonzero) and largest
-    bound; the key (ratio, -trial, -order, -index) of the trial's largest
-    ratio, or None; the serialized coordinates and data; and a witness for
-    each check that fails at a breakpoint.
+    (counts, max_ratio, bound, best, witnesses): the interface, violation,
+    bound-exceedance and oracle-mismatch counts, read off the check loop's
+    columns as `enokit verify` reads them; each fitting order's largest
+    ratio (None if no data jump is nonzero) and largest bound; the key
+    (ratio, -trial, -order, -index) of the trial's largest ratio, or None;
+    and a witness for each check that fails at a breakpoint. Only a trial
+    with a witness serializes its inputs.
     """
     backend = get_backend(config.backend)
     coords, values = _trial_inputs(config, trial)
     reconstruction = config.kind == "reconstruction"
     room = len(coords) - 1 if reconstruction else len(coords)
     orders = [p for p in config.orders if room >= 2 * p]
-    if not backend.exact:
-        coords = [float(x) for x in coords]
-        values = [float(v) for v in values]
     if reconstruction:
         field = CellAverageField(Mesh(coords), values)
     else:
         field = PointValueField(coords, values)
-    coordinates = [backend.serialize(x) for x in coords]
-    data = [backend.serialize(v) for v in values]
+    inputs = None
     counts = (0, 0, 0, 0)
     max_ratio = {}
     bound = {}
@@ -365,6 +365,9 @@ def _run_fuzz_trial(config, trial):
             best = key if best is None else max(best, key)
         if not any(tally[1:]):
             continue
+        if inputs is None:
+            inputs = dict(coordinates=list(map(backend.serialize, coords)),
+                          data=list(map(backend.serialize, values)))
         # The report sorts the witnesses, so each reason is collected in turn.
         for reason, passed in (
                 ("sign", [v != "VIOLATION" for v in report.verdicts]),
@@ -372,11 +375,10 @@ def _run_fuzz_trial(config, trial):
             for t in (traces[i] for i, ok in enumerate(passed) if not ok):
                 witnesses.append(dict(
                     trial=trial, order=p, index=t.index, reason=reason,
-                    coordinates=coordinates, data=data,
-                    left=backend.serialize(t.left),
+                    **inputs, left=backend.serialize(t.left),
                     right=backend.serialize(t.right),
                     data_jump=backend.serialize(t.data_jump)))
-    return counts, max_ratio, bound, best, (coordinates, data), witnesses
+    return counts, max_ratio, bound, best, witnesses
 
 
 def fuzz_sign_property(config, workers=1):
@@ -385,7 +387,8 @@ def fuzz_sign_property(config, workers=1):
     Deterministic for a fixed config: trials draw from per-trial RNG
     streams and every aggregate is order-independent, so any workers
     value (and any trial interleaving) produces the identical report.
-    Trials hand back values; the report serializes each one once.
+    Trials hand back values; the report serializes each one once, and
+    the worst witness's inputs from a replay of its trial's draw.
 
     Args:
         config: FuzzConfig.
@@ -411,7 +414,7 @@ def fuzz_sign_property(config, workers=1):
     else:
         results = [runner(t) for t in trial_ids]
     backend = get_backend(config.backend)
-    counts, ratios, bounds, bests, inputs, witnesses = zip(*results)
+    counts, ratios, bounds, bests, witnesses = zip(*results)
     interfaces, violations, exceedances, mismatches = map(sum, zip(*counts))
     # Every trial fits the same orders. Among equal ratios, max keeps the
     # earliest trial's.
@@ -423,10 +426,11 @@ def fuzz_sign_property(config, workers=1):
     worst = None
     if best is not None:
         ratio, trial, order, index = best
-        coordinates, data = inputs[-trial]
+        coords, values = _trial_inputs(config, -trial)
         worst = dict(ratio=backend.serialize(ratio), trial=-trial,
-                     order=-order, index=-index, coordinates=coordinates,
-                     data=data)
+                     order=-order, index=-index,
+                     coordinates=list(map(backend.serialize, coords)),
+                     data=list(map(backend.serialize, values)))
     return FuzzReport(
         config=config,
         trials_run=config.trials,

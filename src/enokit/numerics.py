@@ -6,6 +6,12 @@ ever rounds and sign checks performed on exact scalars are authoritative:
 gmpy2's mpq when gmpy2 is installed, else _Rational, a fractions.Fraction
 subclass that does its arithmetic with ints and its own kind directly and
 leaves every other operand to Fraction.
+
+The data picks the arithmetic by one rule, float_entry: float when any of
+its columns holds a float, else exact. build_table applies it and records
+the answer on the table as `approximate`, which the trace and check code
+read; making exact scalars the exact backend's type is a separate step
+(_own_type).
 """
 
 from fractions import Fraction
@@ -251,8 +257,8 @@ class ExactBackend:
 
     `_make(num, den)` is the one hook that picks the rational type: gmpy2's
     mpq when gmpy2 is installed, else _rational, which gives a _Rational.
-    Every exact scalar the package makes (convert, promote_integers,
-    quotient, halfway) comes from it, and the arithmetic on those keeps the
+    Every exact scalar the package makes (convert, _own_type, quotient,
+    halfway) comes from it, and the arithmetic on those keeps the
     type, so the whole exact path runs on one type.
     """
 
@@ -347,31 +353,17 @@ def is_float_data(values):
     return any(isinstance(v, float) for v in values)
 
 
-def float_entry(coords, data):
-    """Coordinates and data as float lists when either holds a float.
+def float_entry(*columns):
+    """The package's one rule for float or exact: float when any column
+    holds a float.
 
-    Returns (coords, data, approximate). Exact coordinates come back as
-    given, exact data as a list with every scalar but an int of the exact
-    backend's type, so data jumps and the ratios over them are on it too.
+    Returns (approximate, *columns): every column as a float list when
+    approximate, else each column as given. Exact scalars keep their type
+    here; _own_type makes them the exact backend's.
     """
-    if is_float_data(data) or is_float_data(coords):
-        return list(map(float, coords)), list(map(float, data)), True
-    return coords, _own_type(data, int), False
-
-
-def promote_integers(values):
-    """All-exact data with every scalar of the exact backend's type.
-
-    Plain ints in the data would turn true division into float division,
-    and a plain Fraction would take Fraction's slow operand dispatch;
-    EXACT.convert makes each of them the backend's type, so every
-    downstream quotient is exact and on one type. Values that already
-    have it are kept as they are. Data containing floats is left alone.
-    """
-    vals = list(values)
-    if any(isinstance(v, float) for v in vals):
-        return vals
-    return _own_type(vals)
+    if any(map(is_float_data, columns)):
+        return (True, *(list(map(float, column)) for column in columns))
+    return (False, *columns)
 
 
 def _own_type(values, keep=None):
@@ -488,25 +480,26 @@ class DividedDifferenceTable:
     reference back to the table. build_table gives the trace and check
     code exact tables whose points are all ints, the field's coordinates
     on their grid (grid_integers), on any mesh: the trace code evaluates on
-    them and reports the field's own coordinates.
+    them and reports the field's own coordinates. `approximate` is
+    float_entry's answer for the data the table was built from: True when
+    its points and levels are binary64 floats, False when they are exact.
     """
 
-    def __init__(self, points, levels):
+    def __init__(self, points, levels, approximate):
         self.points = points
         self.levels = levels
+        self.approximate = approximate
         self._eno_stages = {}
 
     @property
     def max_order(self):
         return len(self.levels) - 1
 
-    def entry(self, order, start):
-        """Order-`order` divided difference over points[start:start+order+1]."""
-        return self.levels[order][start]
-
 
 def divided_difference_table(points, values, max_order=None):
-    """Build the divided-difference table of values over points.
+    """Build the divided-difference table of values over points: the
+    build_table of the checked input, in the caller's coordinates. Points
+    and values are all float when either holds a float (float_entry).
 
     Args:
         points: strictly increasing abscissae.
@@ -519,7 +512,8 @@ def divided_difference_table(points, values, max_order=None):
     Raises:
         ShapeError: length mismatch or empty input.
         InvalidMesh: points not strictly increasing.
-        NonFiniteValue: a NaN or infinite float point or value.
+        NonFiniteValue: a NaN or infinite float point or value, or float
+            divided differences that overflow to NaN or +-inf.
     """
     pts = list(points)
     vals = list(values)
@@ -531,9 +525,7 @@ def divided_difference_table(points, values, max_order=None):
     check_finite(vals, "value")
     if max_order is None or max_order > len(pts) - 1:
         max_order = len(pts) - 1
-    pts = promote_integers(pts)
-    levels = divided_difference_levels(pts, promote_integers(vals), max_order)
-    return DividedDifferenceTable(tuple(pts), list(map(tuple, levels)))
+    return build_table(pts, vals, max_order)
 
 
 def divided_difference_levels(points, values, max_order, order=0):
@@ -543,8 +535,8 @@ def divided_difference_levels(points, values, max_order, order=0):
     order 1, the primitive's first divided differences over the cells
     between the points, and level 0 is then None. The points must already
     be strictly increasing and at least max_order+1 of them; in exact
-    data the values must be free of plain ints (see promote_integers), and
-    so must the points unless they are all ints (see grid_integers).
+    data the values must be free of plain ints (see _own_type), and so
+    must the points unless they are all ints (see grid_integers).
     """
     levels = [None] * order + [values]
     for j in range(order + 1, max_order + 1):
@@ -555,29 +547,30 @@ def divided_difference_levels(points, values, max_order, order=0):
 
 
 def build_table(points, values, max_order, order=0, grid=False):
-    """The table of level-`order` values over points that the trace, check
-    and per-anchor code builds: all float when either holds a float
-    (float_entry), else exact.
+    """The table of level-`order` values over points that every caller
+    builds: all float when either holds a float, else exact, as
+    float_entry decides; the table records the answer as `approximate`.
 
     Float levels that overflow to NaN or +-inf raise NonFiniteValue.
-    Exact values are promoted (promote_integers), and so are exact points,
-    which stay in the caller's coordinates, as the per-anchor Newton forms
-    need them; with `grid` they become their grid_integers, which keep
-    every product of coordinate differences an int. The divided
-    differences are taken over the points the table holds, so both give
-    the same stencils and traces.
+    Exact values get the exact backend's type (_own_type), and so do
+    exact points, which stay in the caller's coordinates, as the
+    per-anchor Newton forms need them; with `grid` they become their
+    grid_integers, which keep every product of coordinate differences an
+    int. The divided differences are taken over the points the table
+    holds, so both give the same stencils and traces.
     """
-    points, values, approximate = float_entry(points, values)
+    approximate, points, values = float_entry(points, values)
     if approximate:
         levels = divided_difference_levels(points, values, max_order, order)
         # A NaN or infinity at one level makes NaN or infinities at every
         # level above it, so the top level shows an overflow anywhere.
         check_finite_column(levels[-1],
                             f"float overflow: level-{max_order} entry")
-        return DividedDifferenceTable(points, levels)
-    points = grid_integers(points) if grid else _own_type(points)
-    return DividedDifferenceTable(points, divided_difference_levels(
-        points, _own_type(values), max_order, order))
+    else:
+        points = grid_integers(points) if grid else _own_type(points)
+        levels = divided_difference_levels(
+            points, _own_type(values), max_order, order)
+    return DividedDifferenceTable(points, levels, approximate)
 
 
 def field_table(field, max_order, shift):

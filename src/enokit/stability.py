@@ -34,9 +34,9 @@ from .numerics import (
     check_depth,
     check_increasing,
     field_table,
+    float_entry,
     grid_integers,
     halfway,
-    is_float_data,
     quotient,
 )
 
@@ -122,18 +122,16 @@ class TraceBatch:
 
 def trace_columns(traces):
     """The traces as a TraceBatch: a batch as it is, any other iterable of
-    InterfaceTrace read into columns. As float_entry decides for fields,
-    the batch is approximate, its left, right and data_jump columns all
-    float, when any trace holds a float there; so a list mixing float and
-    exact traces is judged in float."""
+    InterfaceTrace read into columns. float_entry decides on the left,
+    right and data_jump columns, as it does for a field's data: the batch
+    is approximate, those columns all float, when any trace holds a float
+    there; so a list mixing float and exact traces is judged in float."""
     if isinstance(traces, TraceBatch):
         return traces
     traces = list(traces)
-    scalars = ([t.left for t in traces], [t.right for t in traces],
-               [t.data_jump for t in traces])
-    approximate = any(map(is_float_data, scalars))
-    if approximate:
-        scalars = [list(map(float, column)) for column in scalars]
+    approximate, *scalars = float_entry(
+        [t.left for t in traces], [t.right for t in traces],
+        [t.data_jump for t in traces])
     return TraceBatch(
         [t.index for t in traces],
         [t.location for t in traces],

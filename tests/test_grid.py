@@ -26,8 +26,8 @@ def test_mesh_basics():
     assert mesh.interfaces == (0, 1, 3, 6)
     assert mesh.width(0) == 1
     assert mesh.width(2) == 3
-    assert mesh.mesh_ratio(0) == 2
-    assert mesh.mesh_ratio(1) == Fraction(3, 2)
+    assert Fraction(mesh.width(1), mesh.width(0)) == 2
+    assert Fraction(mesh.width(2), mesh.width(1)) == Fraction(3, 2)
 
 
 def test_mesh_validation():

@@ -225,9 +225,6 @@ def test_fuzz_bounds_equal_the_per_position_reference(kind, backend):
     expected = {}
     for trial in range(config.trials):
         coords, values = _trial_inputs(config, trial)
-        if backend == "float":
-            coords = [float(x) for x in coords]
-            values = [float(v) for v in values]
         for p in config.orders:
             try:
                 if kind == "reconstruction":

@@ -1,5 +1,6 @@
-"""Backends, promotion, and divided-difference tables."""
+"""Backends, the float-or-exact rule, and divided-difference tables."""
 
+import ast
 import copy
 import math
 import operator
@@ -7,6 +8,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,16 +18,21 @@ from enokit import (
     FLOAT,
     InvalidMesh,
     NonFiniteValue,
+    PointValueField,
     ShapeError,
     divided_difference_table,
     get_backend,
 )
+from enokit import numerics
 from enokit.numerics import (
+    NODE,
     _Rational,
     _rational,
+    build_table,
+    field_table,
+    float_entry,
     halfway,
     is_float_data,
-    promote_integers,
     quotient,
 )
 
@@ -202,23 +209,36 @@ def test_exact_serialize_integer_is_bare():
     assert "/" in EXACT.serialize(EXACT.convert(Fraction(1, 3)))
 
 
-def test_promote_integers_all_ints_become_exact():
-    out = promote_integers([1, 2, 3])
+def test_build_table_makes_exact_ints_its_own_type():
+    table = build_table([0, 1, 2], [1, 2, 3], 1)
+    assert table.approximate is False
+    out = table.levels[0]
     quotient = out[0] / out[1]
     assert quotient == Fraction(1, 2)
     assert not isinstance(quotient, float)
 
 
-def test_promote_integers_mixed_with_fraction():
-    out = promote_integers([1, Fraction(1, 2)])
-    assert all(isinstance(v, Fraction) for v in out)
-    assert out == [Fraction(1), Fraction(1, 2)]
+def test_build_table_mixed_int_and_fraction_stay_exact():
+    table = build_table([0, 1], [1, Fraction(1, 2)], 1)
+    assert table.approximate is False
+    own = type(EXACT.convert(0))
+    for column in (table.points, table.levels[0], table.levels[1]):
+        assert {type(v) for v in column} == {own}
+    assert table.levels[0] == [Fraction(1), Fraction(1, 2)]
 
 
-def test_promote_integers_leaves_floats_alone():
-    data = [1, 0.5]
-    assert promote_integers(data) == [1, 0.5]
-    assert type(promote_integers(data)[0]) is int
+def test_float_entry_converts_every_column_when_one_holds_a_float():
+    assert float_entry([1, 0.5], [Fraction(1, 3)], (2,)) == (
+        True, [1.0, 0.5], [float(Fraction(1, 3))], [2.0])
+    for column in float_entry([1, 0.5], [Fraction(1, 3)], (2,))[1:]:
+        assert {type(v) for v in column} == {float}
+
+
+def test_float_entry_returns_exact_columns_as_given():
+    ints, fractions = [1, 2], (Fraction(1, 2),)
+    approximate, *columns = float_entry(ints, fractions)
+    assert approximate is False
+    assert columns[0] is ints and columns[1] is fractions
 
 
 def test_is_float_data():
@@ -240,10 +260,10 @@ def test_halfway_float_when_any_float():
 def test_table_known_values():
     table = divided_difference_table([0, 1, 3], [1, 2, 0])
     assert table.max_order == 2
-    assert table.entry(0, 0) == 1
-    assert table.entry(1, 0) == 1
-    assert table.entry(1, 1) == -1
-    assert table.entry(2, 0) == Fraction(-2, 3)
+    assert table.levels[0][0] == 1
+    assert table.levels[1][0] == 1
+    assert table.levels[1][1] == -1
+    assert table.levels[2][0] == Fraction(-2, 3)
 
 
 def test_table_depth_clamps():
@@ -296,6 +316,106 @@ def test_table_float_data_stays_float():
     assert all(
         isinstance(entry, float) for level in table.levels for entry in level
     )
+
+
+# Each public way to build the full table of point values over points.
+_TABLE_BUILDERS = (
+    divided_difference_table,
+    lambda points, values: field_table(
+        PointValueField(points, values), len(points) - 1, NODE),
+    lambda points, values: build_table(
+        points, values, len(points) - 1, grid=True),
+)
+
+
+@pytest.mark.parametrize("points, values", [
+    ([Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)],
+     [0.0, 1.0, 4.0, 9.0]),
+    ([0.0, 0.3, 0.7, 1.0],
+     [Fraction(0), Fraction(1, 3), Fraction(4, 7), Fraction(9)]),
+], ids=["exact-points", "float-points"])
+def test_every_table_builder_converts_mixed_input_to_float_first(
+        points, values):
+    """Exact and float scalars mixed: each builder converts all of them to
+    float before differencing, so every level has the same bits."""
+    tables = [build(points, values) for build in _TABLE_BUILDERS]
+    assert all(table.approximate for table in tables)
+    digests = [[[float.hex(x) for x in level] for level in table.levels]
+               for table in tables]
+    assert digests[0] == digests[1] == digests[2]
+    xs, ys = [float(x) for x in points], [float(v) for v in values]
+    assert digests[0][:2] == [list(map(float.hex, ys)), [
+        float.hex((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])) for k in range(3)]]
+
+
+def test_every_table_builder_raises_on_float_overflow():
+    for build in _TABLE_BUILDERS:
+        with pytest.raises(NonFiniteValue, match="float overflow"):
+            build([0.0, 1.0], [1e308, -1e308])
+
+
+def _rule_breaches(tree):
+    """Nodes of a module that pick float or exact arithmetic themselves: a
+    reference to is_float_data, isinstance(x, float) or type(x) is float."""
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and (
+                getattr(node, "id", None) == "is_float_data"
+                or getattr(node, "attr", None) == "is_float_data"):
+            breaches.append(node)
+        elif isinstance(node, ast.alias) and node.name == "is_float_data":
+            breaches.append(node)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and any(isinstance(n, ast.Name) and n.id == "float"
+                      for n in ast.walk(node.args[1]))):
+            breaches.append(node)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            typed = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id == "type" for n in sides)
+            if typed and any(isinstance(n, ast.Name) and n.id == "float"
+                             for n in sides):
+                breaches.append(node)
+    return breaches
+
+
+def test_only_float_entry_decides_float_or_exact():
+    """Outside numerics, no module tests for floats to pick its arithmetic:
+    the trace and check code read the table's `approximate`, which
+    build_table takes from float_entry."""
+    package = Path(numerics.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        breaches = _rule_breaches(ast.parse(path.read_text(), str(path)))
+        assert not breaches, (
+            f"{path.name} line {breaches[0].lineno} picks float or exact "
+            f"itself; use numerics.float_entry or table.approximate")
+    assert not hasattr(numerics, "promote_integers")
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in package.glob("*.py")}
+    for module, function in (("eno_reconstruction", "_traces"),
+                             ("eno_reconstruction", "_newton_form"),
+                             ("harness", "check_orders")):
+        body, = (node for node in ast.walk(modules[module])
+                 if isinstance(node, ast.FunctionDef) and node.name == function)
+        assert any(isinstance(node, ast.Attribute)
+                   and node.attr == "approximate"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "table"
+                   for node in ast.walk(body)), (module, function)
+
+
+def test_the_rule_scan_sees_each_way_to_pick_the_arithmetic():
+    for source in ("is_float_data(xs)", "from .numerics import is_float_data",
+                   "numerics.is_float_data(xs)", "isinstance(x, float)",
+                   "isinstance(x, (int, float))", "type(x) is float",
+                   "float is not type(xs[0])", "type(x) == float"):
+        assert _rule_breaches(ast.parse(source)), source
+    for source in ("float(x)", "type(x) is int", "isinstance(x, int)",
+                   "x.approximate"):
+        assert not _rule_breaches(ast.parse(source)), source
 
 
 # ---- The exact backend's own rational ----
@@ -383,13 +503,13 @@ def test_rational_division_by_zero_raises():
 
 
 def test_exact_backend_makes_its_own_type_everywhere():
-    """convert, promote_integers, quotient and halfway give the backend's
+    """convert, build_table, quotient and halfway give the backend's
     type, for ints, floats, strings and plain Fractions alike."""
     own = type(EXACT.convert(0))
     made = [EXACT.convert(3), EXACT.convert(0.1), EXACT.convert("-7/3"),
             EXACT.convert("0.25"), EXACT.convert(Fraction(4, 6)),
-            quotient(2, -4), halfway(1, 4),
-            *promote_integers([1, Fraction(1, 2), EXACT.convert(5)])]
+            quotient(2, -4), halfway(1, 4), *build_table(
+                [0, 1, 2], [1, Fraction(1, 2), EXACT.convert(5)], 0).levels[0]]
     assert {type(v) for v in made} == {own}
     assert made == [3, Fraction(0.1), Fraction(-7, 3), Fraction(1, 4),
                     Fraction(2, 3), Fraction(-1, 2), Fraction(5, 2),
